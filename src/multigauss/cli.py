@@ -84,6 +84,18 @@ def _grid(args, default_lo: float, default_hi: float) -> np.ndarray:
     return np.linspace(lo, hi, args.points)
 
 
+def _curve_rows(d, kind: str, xs: np.ndarray, label: str) -> list[dict]:
+    """Rows of a pdf or cdf curve of ``d`` on the grid ``xs``.
+
+    The pdf is evaluated point by point, the cdf in one array call.
+    """
+    if kind == "pdf":
+        vals = [float(d.pdf(float(x))) for x in xs]
+    else:
+        vals = d.cdf(xs)
+    return [{"x": float(x), "value": float(v), "series": label} for x, v in zip(xs, vals)]
+
+
 def _make_rng(seed: int) -> np.random.Generator:
     if seed < 0 or seed > 2**64 - 1:
         raise ValueError("seed must be a 64-bit unsigned integer")
@@ -101,13 +113,13 @@ def _eval_mg(args) -> tuple[list[dict], list[str]]:
     kind = args.kind
     if kind in ("pdf", "cdf"):
         xs = _grid(args, d.mu - 5 * d.sigma, d.mu + 5 * d.sigma)
-        fn = (lambda x: float(d.pdf(x))) if kind == "pdf" else d.cdf
-        rows = [{"x": float(x), "value": fn(float(x)), "series": label} for x in xs]
+        rows = _curve_rows(d, kind, xs, label)
     elif kind == "quantile":
         us = _grid(args, 0.01, 0.99)
         if us[0] <= 0.0 or us[-1] >= 1.0:
             raise ValueError("quantile grid must lie strictly inside (0, 1)")
-        rows = [{"x": float(u), "value": d.quantile(float(u)), "series": label} for u in us]
+        rows = [{"x": float(u), "value": float(q), "series": label}
+                for u, q in zip(us, d.quantile(us))]
     elif kind == "mgf":
         ts = _grid(args, -1.0, 1.0)
         rows = [{"x": float(t), "value": d.mgf(float(t)), "series": label} for t in ts]
@@ -138,8 +150,7 @@ def _eval_lmg(args) -> tuple[list[dict], list[str]]:
         default_lo = math.exp(base.mu - 5 * base.sigma)
         default_hi = math.exp(base.mu + 5 * base.sigma)
         ys = _grid(args, default_lo, default_hi)
-        fn = (lambda y: float(d.pdf(y))) if kind == "pdf" else d.cdf
-        rows = [{"x": float(y), "value": fn(float(y)), "series": label} for y in ys]
+        rows = _curve_rows(d, kind, ys, label)
     elif kind == "moments":
         rows = [{"x": float(k), "value": d.moment(k), "series": label}
                 for k in range(1, _order(args) + 1)]
@@ -251,9 +262,7 @@ def _fig_univariate(m_values) -> list[tuple[str, str, list[dict], list[str]]]:
         for mval in m_values:
             d = MultiGauss(0.0, 1.0, mval)
             xs = np.linspace(-5.0, 5.0, _GRID_1D)
-            fn = (lambda x: float(d.pdf(x))) if kind == "pdf" else d.cdf
-            rows = [{"x": float(x), "value": fn(float(x)), "series": _label_m(mval)}
-                    for x in xs]
+            rows = _curve_rows(d, kind, xs, _label_m(mval))
             panels.append((panel, _label_m(mval), rows, ["x", "value", "series"]))
     return panels
 
@@ -276,9 +285,7 @@ def _fig_lmg(m_values, with_cdf: bool) -> list[tuple[str, str, list[dict], list[
         for mval in m_values:
             d = LogMultiGauss(0.0, 1.0, mval)
             ys = np.exp(np.linspace(-5.0, 5.0, _GRID_1D))
-            fn = (lambda y: float(d.pdf(y))) if kind == "pdf" else d.cdf
-            rows = [{"x": float(y), "value": fn(float(y)), "series": _label_m(mval)}
-                    for y in ys]
+            rows = _curve_rows(d, kind, ys, _label_m(mval))
             panels.append((panel, _label_m(mval), rows, ["x", "value", "series"]))
     return panels
 

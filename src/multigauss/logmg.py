@@ -9,8 +9,6 @@ The MGF of ``Y`` itself diverges for every ``t != 0``.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .series import TruncationPolicy
@@ -54,12 +52,15 @@ class LogMultiGauss:
             return float(out[0])
         return out
 
-    def cdf(self, y: float) -> float:
-        """P(Y <= y) = cdf_X(ln y) for y > 0, zero elsewhere."""
-        y = float(y)
-        if not y > 0.0:
-            return 0.0
-        return self._base.cdf(math.log(y))
+    def cdf(self, y):
+        """P(Y <= y) = cdf_X(ln y) for y > 0, zero for y <= 0, NaN for NaN.
+
+        Accepts scalars or arrays; a scalar input gives a ``float``.
+        """
+        y = np.asarray(y, dtype=float)
+        with np.errstate(divide="ignore"):
+            x = np.log(np.maximum(y, 0.0))  # maximum keeps NaN; log(0) = -inf
+        return self._base.cdf(x)
 
     def moment(self, k: int) -> float:
         """k-th raw moment ``E[Y^k] = MGF_X(k)``.

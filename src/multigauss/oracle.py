@@ -248,7 +248,8 @@ def ks_statistic(samples, cdf) -> float:
     """One-sample Kolmogorov-Smirnov statistic for sorted samples.
 
     ``sup_x |F_n(x) - F(x)|`` with the empirical CDF stepping at each
-    sample.  Requires a non-empty, ascending-sorted sequence.
+    sample.  Requires a non-empty, ascending-sorted sequence; ``cdf`` is
+    called once, with the whole array of samples.
     """
     samples = np.asarray(samples, dtype=float)
     n = samples.size
@@ -256,7 +257,7 @@ def ks_statistic(samples, cdf) -> float:
         raise ValueError("KS statistic needs at least one sample")
     if np.any(np.diff(samples) < 0.0):
         raise ValueError("samples must be sorted in ascending order")
-    fvals = np.array([cdf(float(x)) for x in samples])
+    fvals = np.asarray(cdf(samples), dtype=float)
     i = np.arange(1, n + 1)
     d_plus = np.max(i / n - fvals)
     d_minus = np.max(fvals - (i - 1) / n)
@@ -276,9 +277,16 @@ def gaussian_pdf(x: float, mu: float = 0.0, sigma: float = 1.0) -> float:
     return math.exp(-0.5 * d * d) / (sigma * math.sqrt(2.0 * math.pi))
 
 
-def gaussian_cdf(x: float, mu: float = 0.0, sigma: float = 1.0) -> float:
-    """Reference Gaussian CDF via the complementary error function."""
-    return 0.5 * math.erfc(-(x - mu) / (sigma * math.sqrt(2.0)))
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
+def gaussian_cdf(x, mu: float = 0.0, sigma: float = 1.0):
+    """Reference Gaussian CDF via the complementary error function.
+
+    Accepts scalars or arrays; a scalar input gives a ``float``.
+    """
+    out = 0.5 * _erfc(-(np.asarray(x, dtype=float) - mu) / (sigma * math.sqrt(2.0)))
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass

@@ -12,11 +12,13 @@ generating functions and moments tractable.
 
 Evaluation strategy: the closed form above is numerically stable for every
 ``M`` and is always the production density path; the Gaussian series is kept
-as a verification target (`pdf_series`).  The CDF uses the complementary
-error-function series where it is well conditioned and falls back to
-adaptive quadrature of the closed-form density when the series condition
-number exceeds 1e6 (large integer ``M``) or, for fractional ``M``, to a
-Gauss-Jacobi rule near the mode where the series converges too slowly.
+as a verification target (`pdf_series`).  The CDF has one path for every
+``M``: each object lazily builds a table of the profile integral over the
+standardized half-line (a Gauss-Jacobi rule over the mode band, which
+absorbs the cusp of fractional shapes, then Gauss-Legendre panels out to 40
+sigma, with the tail masses accumulated from infinity inward), and a CDF
+value is the tabulated mass beyond the next panel edge plus one fixed
+Gauss-Legendre rule up to that edge, vectorized over any array of points.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad as _quad
 from scipy.interpolate import PchipInterpolator
-from scipy.special import erfc as _erfc_vec, ndtri as _ndtri, roots_jacobi
+from scipy.special import ndtri as _ndtri, roots_jacobi
 
 from .series import (
     DEFAULT_POLICY,
@@ -48,40 +49,68 @@ __all__ = ["MultiGauss", "mg_profile"]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-#: Above this condition number of the coefficient series, the erf-series CDF
-#: has lost too many digits and adaptive quadrature of the stable closed-form
-#: density is used instead.
-_CDF_CONDITION_LIMIT = 1e6
+#: Half-width (in units of sigma) of the mode band, which the CDF engine
+#: integrates with a Gauss-Jacobi rule that absorbs the cusp of fractional
+#: shapes.
+_CDF_BAND = 0.3
 
-#: Half-width (in units of sigma) below which the fractional-M CDF switches
-#: from the complementary-erfc series to a Gauss-Jacobi rule centred on the
-#: mode, where the series needs too many terms.
-_CDF_CENTER_BAND = 0.3
+#: Reach of the CDF table in units of sigma: beyond it the profile, below
+#: ``M e^-800``, underflows and the lower tail is zero in floating point.
+_CDF_REACH = 40.0
+
+#: Points of the Gauss-Jacobi band rule and of every Gauss-Legendre panel.
+_GJ_ORDER = 24
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+#: Points per block of a CDF call: temporaries stay (block x nodes) in size
+#: however many points one call evaluates.
+_CDF_BLOCK = 4096
+
+#: Half-squared distance beyond which `MultiGauss.logpdf` takes the far-tail
+#: series in log form, because ``e^-w`` leaves the normal float range.
+_LOG_TAIL_SWITCH = 700.0
 
 
-def _profile_tail_series(w: float, shape: ShapeParam) -> float:
-    """Far-tail profile ``sum_m C(M,m)(-1)^(m-1) e^(-m w)``.
+def _cdf_panel_edges() -> np.ndarray:
+    """Panel edges of the CDF table: ``0``, the band, then out to the reach.
 
+    Widths shrink like ``8/|u|`` in the tail, so the Gaussian factor changes
+    by at most ``e^-8`` across one panel and 16 nodes integrate it to full
+    relative precision.
+    """
+    edges = [0.0, _CDF_BAND]
+    while edges[-1] < _CDF_REACH:
+        s = edges[-1]
+        edges.append(min(s + min(0.5, 8.0 / s), _CDF_REACH))
+    return np.array(edges)
+
+
+_CDF_EDGES = _cdf_panel_edges()
+
+
+def _profile_tail_series(w, shape: ShapeParam) -> np.ndarray:
+    """Far-tail profile over its leading exponential, for an array ``w``.
+
+    Returns ``e^w sum_m C(M,m)(-1)^(m-1) e^(-m w) = M - C(M,2) e^-w + ...``.
     With ``e^-w`` small the leading term dominates and every term carries
     full relative precision, unlike the closed form whose output quantizes
-    once ``(1 - e^-w)^M`` needs more than float precision.
+    once ``(1 - e^-w)^M`` needs more than float precision.  The loop over
+    ``m`` stops once every point's last term is below 1e-22 of its sum.
+    Leaving out the factor ``e^-w`` keeps the log density finite where the
+    profile itself underflows.
     """
-    g = math.exp(-w)
-    if g == 0.0:
-        return 0.0
+    g = np.exp(-np.asarray(w, dtype=float))
     v = shape.value
     cap = shape.int_value if shape.is_integer else 64
-    b = 1.0
-    gm = 1.0
-    acc = 0.0
-    for m in range(1, cap + 1):
+    acc = np.full_like(g, v)
+    gm = np.ones_like(g)
+    b = v
+    for m in range(2, cap + 1):
         b = b * (v - m + 1) / m
         gm *= g
-        term = b * gm
-        if m % 2 == 0:
-            term = -term
+        term = b * gm if m % 2 == 1 else -b * gm
         acc += term
-        if gm == 0.0 or abs(term) < 1e-22 * abs(acc):
+        if np.all(np.abs(term) < 1e-22 * np.abs(acc)):
             break
     return acc
 
@@ -106,17 +135,79 @@ def mg_profile(w, m_shape):
         logt = np.log(t)
     out = -np.expm1(shape.value * logt)
     w_switch = max(4.0, math.log(max(shape.value, 1.0)) + 4.0)
-    if scalar:
-        if float(w) > w_switch:
-            return _profile_tail_series(float(w), shape)
-        return float(out)
-    far = w > w_switch
-    if np.any(far):
-        out = np.array(out, copy=True)
-        idx = np.nonzero(far)
-        vals = [_profile_tail_series(float(wv), shape) for wv in np.asarray(w)[idx]]
-        out[idx] = vals
-    return out
+    far = np.atleast_1d(w > w_switch)
+    if far.any():
+        out = np.atleast_1d(out)
+        wf = np.atleast_1d(w)[far]
+        out[far] = np.exp(-wf) * _profile_tail_series(wf, shape)
+        return float(out[0]) if scalar else out
+    return float(out) if scalar else out
+
+
+class _CdfTable:
+    """Lower-tail masses of the standardized variable, for one shape ``M``.
+
+    The profile ``f(s^2/2)`` is integrated over the half-line ``s >= 0``:
+    a Gauss-Jacobi rule over the mode band ``[0, 0.3]`` (the split of
+    `_band_integral` is exact for the cusp of ``0 < M < 1``), then
+    Gauss-Legendre panels out to ``40``.  The panel masses are accumulated
+    from the far end inward, so ``tail[k]``, the integral over
+    ``[edges[k], inf)``, keeps its relative precision however small it is.
+    Probabilities are these integrals over twice ``tail[0]``, so the CDF is
+    exactly ``1/2`` at the mode and continuous across the band edge.
+    Immutable once built.
+    """
+
+    def __init__(self, shape: ShapeParam):
+        self._shape = shape
+        xg, wg = roots_jacobi(_GJ_ORDER, 0.0, 2.0 * shape.value)
+        self._gj_nodes = 0.5 * (1.0 + xg)
+        self._gj_weights = wg
+        panels = self._legendre_integral(_CDF_EDGES[1:-1], _CDF_EDGES[2:])
+        tail = np.zeros(_CDF_EDGES.size)
+        tail[1:-1] = np.cumsum(panels[::-1])[::-1]
+        tail[0] = tail[1] + self._band_integral(np.array([_CDF_BAND]))[0]
+        self._tail = tail
+        self._scale = 0.5 / tail[0]
+
+    def _legendre_integral(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Integral of the profile over each ``[lo, hi]``, one 16-point rule each."""
+        half = 0.5 * (hi - lo)
+        s = (lo + half)[:, None] + half[:, None] * _GL_NODES
+        vals = mg_profile(0.5 * s * s, self._shape)
+        return half * (vals * _GL_WEIGHTS).sum(axis=1)
+
+    def _band_integral(self, au: np.ndarray) -> np.ndarray:
+        """Integral of the profile over ``[0, au]`` for ``0 <= au <= 0.3``.
+
+        Splits the profile as ``1 - psi`` with ``psi(s) = (1 - e^(-s^2/2))^M
+        = s^(2M) chi(s)`` and integrates the smooth factor ``chi`` against a
+        Gauss-Jacobi rule with weight ``v^(2M)``.
+        """
+        v = self._shape.value
+        y = 0.5 * (au[:, None] * self._gj_nodes) ** 2
+        # phi(y) = (1 - e^-y)/y, smooth and positive; phi(0) = 1
+        safe = np.where(y > 0.0, y, 1.0)
+        phi = np.where(y > 0.0, -np.expm1(-safe) / safe, 1.0)
+        chi = (np.exp(v * np.log(phi)) * self._gj_weights).sum(axis=1)
+        return au - au ** (2.0 * v + 1.0) * 2.0 ** (-3.0 * v - 1.0) * chi
+
+    def lower_tail(self, au: np.ndarray) -> np.ndarray:
+        """``P(U <= -au)`` for a 1-D array ``au >= 0``; zero at NaN and beyond the reach."""
+        out = np.zeros_like(au)
+        for start in range(0, au.size, _CDF_BLOCK):
+            blk = au[start:start + _CDF_BLOCK]
+            res = out[start:start + _CDF_BLOCK]
+            band = blk < _CDF_BAND
+            if band.any():
+                res[band] = 0.5 - self._band_integral(blk[band]) * self._scale
+            mid = (blk >= _CDF_BAND) & (blk < _CDF_REACH)
+            if mid.any():
+                a = blk[mid]
+                k = np.searchsorted(_CDF_EDGES, a, side="right")
+                rest = self._legendre_integral(a, _CDF_EDGES[k])
+                res[mid] = (self._tail[k] + rest) * self._scale
+        return out
 
 
 def _gauss_raw_moment_poly(k: int, mu: float):
@@ -180,7 +271,7 @@ class MultiGauss:
         self._xi = tuple(xi_coeff(n, self._shape, self._policy) for n in range(1, 5))
         self._xi_extra: dict[int, float] = {}
         self._coeff_cache = signed_coeffs(self._shape, self._policy.max_terms)
-        self._gj_rule = None
+        self._cdf_cache = None
         self._inverse_table = None
 
     # -- parameters ---------------------------------------------------------
@@ -234,16 +325,25 @@ class MultiGauss:
         return mg_profile(w, self._shape) / (self.c0 * _SQRT_2PI * self._sigma)
 
     def logpdf(self, x):
-        """Log-density; tails handled without underflow up to ~38 sigma."""
+        """Log-density, finite for every finite ``x``.
+
+        Beyond ~37 sigma, where the profile underflows, the log of the
+        far-tail series is taken in log form: ``-w`` plus the log of the
+        series over ``e^-w``.
+        """
         x = np.asarray(x, dtype=float)
         u = (x - self._mu) / self._sigma
         w = 0.5 * u * u
-        core = mg_profile(w, self._shape)
+        log_norm = math.log(self.c0 * _SQRT_2PI * self._sigma)
         with np.errstate(divide="ignore"):
-            out = np.log(core) - math.log(self.c0 * _SQRT_2PI * self._sigma)
-        if out.ndim == 0:
-            return float(out)
-        return out
+            out = np.log(mg_profile(w, self._shape)) - log_norm
+        far = np.atleast_1d(w > _LOG_TAIL_SWITCH)
+        if far.any():
+            out = np.atleast_1d(out)
+            wf = np.atleast_1d(w)[far]
+            out[far] = np.log(_profile_tail_series(wf, self._shape)) - wf - log_norm
+            return float(out[0]) if x.ndim == 0 else out
+        return float(out) if x.ndim == 0 else out
 
     def pdf_series(self, x: float) -> SeriesResult:
         """Density via the alternating Gaussian series, with quality metadata.
@@ -298,102 +398,37 @@ class MultiGauss:
 
     # -- cumulative distribution --------------------------------------------
 
-    def cdf(self, x: float) -> float:
-        """Cumulative distribution function, accurate to ~1e-13."""
-        x = float(x)
-        if math.isnan(x):
-            return math.nan
-        u = (x - self._mu) / self._sigma
-        if u == 0.0:
-            return 0.5
-        if u < 0.0:
-            return self._lower_half_cdf(-u)
-        return 1.0 - self._lower_half_cdf(u)
+    def cdf(self, x):
+        """Cumulative distribution function at ``x`` (scalar or array).
 
-    def _lower_half_cdf(self, au: float) -> float:
-        """P(X <= mu - au*sigma) for au > 0."""
-        if self._shape.is_integer:
-            if self._c0_result.condition_number <= _CDF_CONDITION_LIMIT:
-                return self._cdf_erfc_integer(au)
-            return self._cdf_quadrature(au)
-        if au <= _CDF_CENTER_BAND:
-            return 0.5 - self._mode_band_mass(au)
-        return self._cdf_erfc_fractional(au)
-
-    def _cdf_erfc_integer(self, au: float) -> float:
-        mi = self._shape.int_value
-        v = float(mi)
-        acc = _Neumaier()
-        b = 1.0
-        for m in range(1, mi + 1):
-            b = b * (v - m + 1) / m
-            term = b * math.erfc(au * math.sqrt(0.5 * m)) / math.sqrt(m)
-            if m % 2 == 0:
-                term = -term
-            acc.add(term)
-        val = acc.total() / (2.0 * self.c0)
-        return min(max(val, 0.0), 1.0)
-
-    def _cdf_erfc_fractional(self, au: float) -> float:
-        # erfc(au * sqrt(m/2)) decays like exp(-au^2 m / 2); past m_star the
-        # remaining terms are below 1e-20 of the result.
-        m_star = min(int(90.0 / (au * au)) + 16, 200_000)
-        coeffs = self._signed_coeffs(m_star)
-        m_star = len(coeffs)
-        ms = np.arange(1.0, m_star + 1.0)
-        terms = coeffs * _erfc_vec(au * np.sqrt(0.5 * ms)) / np.sqrt(ms)
-        if self._shape.value < 1.0:
-            # all terms positive: pairwise summation is already exact enough
-            val = float(np.sum(terms)) / (2.0 * self.c0)
-        else:
-            val = math.fsum(terms) / (2.0 * self.c0)
-        return min(max(val, 0.0), 1.0)
-
-    def _mode_band_mass(self, au: float) -> float:
-        """integral of the pdf over [mu, mu + au*sigma] for 0 < au <= band.
-
-        Splits the profile as ``1 - psi`` with ``psi(s) = (1 - e^(-s^2/2))^M
-        = s^(2M) chi(s)`` and integrates the smooth factor ``chi`` against a
-        Gauss-Jacobi rule with weight ``v^(2M)``, which handles the cusp of
-        fractional shapes exactly.
+        Absolute error below ~1e-14, and the lower tail keeps ~1e-12
+        relative precision down to the float underflow.  NaN gives NaN and
+        ``-inf``/``+inf`` give 0/1; a scalar input gives a ``float``.  Each
+        call integrates the profile through the object's cached panel table,
+        so one array call is much cheaper than a loop of scalar calls.
         """
-        v = self._shape.value
-        nodes, weights = self._gauss_jacobi_rule()
-        y = 0.5 * (au * nodes) ** 2
-        # phi(y) = (1 - e^-y)/y, smooth and positive; phi(0) = 1
-        phi = np.where(y > 0, -np.expm1(-y) / np.where(y > 0, y, 1.0), 1.0)
-        piece = au ** (2.0 * v + 1.0) * 2.0 ** (-3.0 * v - 1.0) * float(
-            np.dot(weights, np.exp(v * np.log(phi)))
-        )
-        return (au - piece) / (self.c0 * _SQRT_2PI)
+        x = np.asarray(x, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = np.atleast_1d((x - self._mu) / self._sigma)
+        lower = self._cdf_table().lower_tail(np.abs(u).ravel()).reshape(u.shape)
+        out = np.where(u < 0.0, lower, 1.0 - lower)
+        out[np.isnan(u)] = np.nan
+        return float(out[0]) if x.ndim == 0 else out
 
-    def _gauss_jacobi_rule(self):
-        if self._gj_rule is None:
-            xg, wg = roots_jacobi(24, 0.0, 2.0 * self._shape.value)
-            self._gj_rule = (0.5 * (1.0 + xg), wg)
-        return self._gj_rule
-
-    def _cdf_quadrature(self, au: float) -> float:
-        mval = self._shape.value
-        bound = 0.5 * max(mval, 1.0) / self.c0 * math.erfc(au / math.sqrt(2.0))
-        if au > 12.0:
-            # analytic envelope M * Gaussian tail; already < 1e-30 here
-            return min(bound, 1.0)
-        x_lo = self._mu - au * self._sigma
-        if au >= 5.0:
-            # integrate the tail directly: 0.5 - (mass) would lose all
-            # relative precision once the tail is below ~1e-10
-            val, _ = _quad(self.pdf, -np.inf, x_lo, epsabs=0.0, epsrel=1e-10, limit=400)
-            return min(max(val, 0.0), 1.0)
-        val, _ = _quad(self.pdf, x_lo, self._mu, epsabs=1e-14, epsrel=1e-12, limit=400)
-        return min(max(0.5 - val, 0.0), 1.0)
+    def _cdf_table(self) -> _CdfTable:
+        table = self._cdf_cache
+        if table is None:
+            table = _CdfTable(self._shape)
+            self._cdf_cache = table  # one assignment publishes a complete table
+        return table
 
     def _signed_coeffs(self, n: int) -> np.ndarray:
-        if self._shape.is_integer:
-            return self._coeff_cache[: min(n, len(self._coeff_cache))]
-        if n > len(self._coeff_cache):
-            self._coeff_cache = signed_coeffs(self._shape, n)
-        return self._coeff_cache[:n]
+        # read the cache once: another thread may replace it meanwhile
+        coeffs = self._coeff_cache
+        if not self._shape.is_integer and n > len(coeffs):
+            coeffs = signed_coeffs(self._shape, n)
+            self._coeff_cache = coeffs
+        return coeffs[:n]
 
     # -- generating functions -------------------------------------------------
 
@@ -519,57 +554,60 @@ class MultiGauss:
 
     # -- quantiles and sampling -------------------------------------------------
 
-    def quantile(self, u: float) -> float:
-        """Inverse CDF: the ``x`` with ``|cdf(x) - u| <= 1e-12``.
+    def quantile(self, u):
+        """Inverse CDF: the ``x`` with ``|cdf(x) - u| <= 1e-12``, for a scalar
+        or an array of levels ``u`` strictly inside (0, 1).
 
         Bracket expansion around the mode, bisection, then Newton polish
-        with the density as derivative.
+        with the density as derivative; every step is one array call over
+        the levels still in play.  A scalar level gives a ``float``.
         """
-        u = float(u)
-        if not (0.0 < u < 1.0):
-            raise ValueError(f"quantile level must lie strictly in (0, 1), got {u!r}")
-        if u == 0.5:
-            return self._mu
-        half = self._sigma
-        lo, hi = self._mu - half, self._mu + half
-        for _ in range(64):
-            if self.cdf(lo) <= u:
-                break
-            half *= 2.0
-            lo = self._mu - half
-        half = self._sigma
-        for _ in range(64):
-            if self.cdf(hi) >= u:
-                break
-            half *= 2.0
-            hi = self._mu + half
+        levels = np.asarray(u, dtype=float)
+        p = levels.ravel()
+        bad = ~((p > 0.0) & (p < 1.0))
+        if bad.any():
+            raise ValueError(
+                f"quantile level must lie strictly in (0, 1), got {float(p[bad][0])!r}")
+        mu = self._mu
+        lo = np.full_like(p, mu - self._sigma)
+        hi = np.full_like(p, mu + self._sigma)
+        for end, outside in ((lo, np.greater), (hi, np.less)):
+            half = np.full_like(p, self._sigma)
+            todo = np.arange(p.size)
+            for _ in range(64):
+                todo = todo[outside(self.cdf(end[todo]), p[todo])]
+                if todo.size == 0:
+                    break
+                half[todo] *= 2.0
+                end[todo] = mu + np.copysign(half[todo], end[todo] - mu)
         x = 0.5 * (lo + hi)
         for _ in range(28):
-            f = self.cdf(x)
-            if f < u:
-                lo = x
-            else:
-                hi = x
+            below = self.cdf(x) < p
+            lo = np.where(below, x, lo)
+            hi = np.where(below, hi, x)
             x = 0.5 * (lo + hi)
         # Newton polish; fall back to bisection when it leaves the bracket
+        todo = np.arange(p.size)
         for _ in range(40):
-            f = self.cdf(x)
-            err = f - u
-            if abs(err) <= 1e-13:
+            xt, pt = x[todo], p[todo]
+            f = self.cdf(xt)
+            err = f - pt
+            lo_t = np.where(f < pt, np.maximum(lo[todo], xt), lo[todo])
+            hi_t = np.where(f < pt, hi[todo], np.minimum(hi[todo], xt))
+            dens = self.pdf(xt)
+            step_ok = (dens > 0.0) & np.isfinite(dens)
+            mid = 0.5 * (lo_t + hi_t)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x_new = np.where(step_ok, xt - err / dens, mid)
+            x_new = np.where((lo_t <= x_new) & (x_new <= hi_t), x_new, mid)
+            done = np.abs(err) <= 1e-13
+            lo[todo], hi[todo] = lo_t, hi_t
+            x[todo] = np.where(done, xt, x_new)
+            todo = todo[~done & (x_new != xt)]
+            if todo.size == 0:
                 break
-            if f < u:
-                lo = max(lo, x)
-            else:
-                hi = min(hi, x)
-            p = self.pdf(x)
-            step_ok = p > 0.0 and math.isfinite(p)
-            x_new = x - err / p if step_ok else 0.5 * (lo + hi)
-            if not (lo <= x_new <= hi):
-                x_new = 0.5 * (lo + hi)
-            if x_new == x:
-                break
-            x = x_new
-        return x
+        x[p == 0.5] = mu
+        return float(x[0]) if levels.ndim == 0 else x.reshape(levels.shape)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` variates by inverse-CDF sampling.
@@ -596,7 +634,7 @@ class MultiGauss:
         if self._inverse_table is None:
             reach = 7.6 + math.sqrt(2.0 * math.log(max(self._shape.value, 1.0))) + 0.5
             xs = self._mu + self._sigma * np.linspace(-reach, reach, 801)
-            fs = np.array([self.cdf(float(x)) for x in xs])
+            fs = self.cdf(xs)
             keep = (fs > 1e-300) & (fs < 1.0 - 1e-16)
             xs, fs = xs[keep], fs[keep]
             zs = _ndtri(fs)

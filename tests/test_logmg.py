@@ -63,6 +63,14 @@ class TestCdf:
         assert d.cdf(0.0) == 0.0
         assert d.cdf(-3.0) == 0.0
 
+    def test_nan_and_arrays(self):
+        d = LogMultiGauss(0.0, 1.0, 2)
+        assert math.isnan(d.cdf(float("nan")))
+        vals = d.cdf(np.array([np.nan, -1.0, 0.0, 1.0, 2.0, np.inf]))
+        assert math.isnan(vals[0])
+        np.testing.assert_array_equal(vals[1:], [0.0, 0.0, 0.5, d.cdf(2.0), 1.0])
+        assert type(d.cdf(2.0)) is float
+
     def test_equals_base_at_log(self):
         d = LogMultiGauss(0.0, 1.0, 10)
         for y in (0.1, 0.7, 2.0, 9.0):

@@ -100,6 +100,20 @@ class TestPdf:
         expect = math.log(10.0) - 0.5 * x * x - math.log(std_m10.c0 * SQRT_2PI)
         assert std_m10.logpdf(x) == pytest.approx(expect, rel=1e-12)
 
+    def test_logpdf_finite_where_profile_underflows(self):
+        mp = pytest.importorskip("mpmath")
+        d = MultiGauss(0.0, 1.0, 2.5)
+        with mp.workdps(30):
+            m = mp.mpf(2.5)
+            bell = lambda s: -mp.expm1(m * mp.log1p(-mp.exp(-s * s / 2)))
+            c0 = 2 * mp.quad(bell, [0, 1, 2, 4, 8, 16, mp.inf]) / mp.sqrt(2 * mp.pi)
+            want = mp.log(bell(mp.mpf(40))) - mp.log(c0 * mp.sqrt(2 * mp.pi))
+        assert float(want) == pytest.approx(-800.0, abs=2.0)
+        assert d.logpdf(40.0) == pytest.approx(float(want), rel=1e-12)
+        vals = d.logpdf(np.array([-40.0, 38.0, 1e10, np.inf, np.nan]))
+        assert vals[0] == d.logpdf(40.0)
+        assert np.all(np.isfinite(vals[:3])) and vals[3] == -np.inf and np.isnan(vals[4])
+
 
 class TestPdfSeries:
     def test_gaussian_shape_is_exact(self):
@@ -351,3 +365,36 @@ class TestPolicyInteraction:
         # accuracy degrades as condition_number * eps, stay an order inside
         budget = max(1e-12, 20.0 * d.c0_result.condition_number * 2.3e-16)
         assert abs(mass - 1.0) <= budget
+
+
+class TestThreadSafety:
+    def test_shared_object_matches_single_thread(self):
+        import sys
+        import threading
+
+        def work(d):
+            out = [d.mgf(t) for t in (0.5, 2.0, 25.0)]
+            out += [d.cf(w) for w in (150.0, 0.5, 80.0, 1.0, 40.0)]
+            out += list(d.cdf(np.linspace(-6.0, 6.0, 301)))
+            return out
+
+        want = work(MultiGauss(0.0, 1.0, 2.5))
+        shared = MultiGauss(0.0, 1.0, 2.5)
+        results = [None] * 8
+
+        def run(i):
+            results[i] = work(shared)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        for got in results:
+            assert got == want
