@@ -424,9 +424,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join ``--flag -5e-05`` into ``--flag=-5e-05``.
+
+    argparse takes a token that starts with ``-`` for an option unless it
+    looks like a plain negative number, so a negative float in exponent form
+    (or ``-inf``) after a flag would be rejected as a missing value.
+    """
+    out: list[str] = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and tok.startswith("-"):
+            try:
+                float(tok)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{prev}={tok}"
+                continue
+        out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(
+        sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except SeriesNotConverged as exc:

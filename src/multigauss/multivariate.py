@@ -13,9 +13,15 @@ not the one-dimensional constant ``S(1/2; M)`` (the two agree only at
 ``N = 1``).  An ``S(1/2)``-normalized density would integrate to
 ``S(1/2)/S(N/2) != 1``; the verification suite reports that discrepancy.
 
-No multivariate CDF is provided (no tractable form exists), and marginals of
-this family are not members of the family, so no marginal objects exist
-either.
+The law is elliptical: ``X = mean + L R D`` with ``L`` the Cholesky factor
+of ``Sigma``, ``D`` uniform on the unit sphere and the radius ``R = sqrt(Q)``
+independent of ``D`` with density proportional to ``r^(N-1) [1 - (1 -
+e^(-r^2/2))^M]`` (Cambanis, Huang & Simons 1981).  The radial CDF comes from
+the same panel table as the univariate CDF, built with dimension ``N``; it
+gives the ellipsoid mass ``P(Q <= q)`` and, inverted through a PCHIP table,
+an exact sampler without rejection.  The full multivariate CDF over
+rectangles has no tractable form and is not provided; marginals of this
+family are not members of the family, so no marginal objects exist either.
 """
 
 from __future__ import annotations
@@ -24,14 +30,31 @@ import math
 
 import numpy as np
 from dataclasses import dataclass
+from scipy.interpolate import PchipInterpolator
 from scipy.linalg import solve_triangular
+from scipy.special import ndtri as _ndtri
 
-from .series import DEFAULT_POLICY, ShapeParam, TruncationPolicy, series_s
-from .univariate import mg_profile
+from .series import (DEFAULT_POLICY, ShapeParam, TruncationPolicy, check_normalization,
+                     series_s)
+from .univariate import _CDF_BAND, _CDF_REACH, _CdfTable, mg_profile
 
 __all__ = ["MvMultiGauss", "BivariateParams", "bivariate_pdf"]
 
 _TWO_PI = 2.0 * math.pi
+_SQRT_2PI = math.sqrt(_TWO_PI)
+
+#: Nodes of the radial sampler's inverse table.
+_SAMPLER_NODES = 801
+
+#: Largest |score| the radial sampler's table reaches: a float generator's
+#: uniforms lie within [2^-53, 1 - 2^-53], whose scores are below 8.3.
+_SCORE_REACH = 8.5
+
+#: Coarse radii at which the radial score is computed once per object to
+#: place the sampler's nodes: geometric up to the mode band (the lower tail
+#: is a power law in r), then steps of 0.25 out to the table's reach.
+_RADIUS_CANDIDATES = np.concatenate((np.geomspace(1e-30, _CDF_BAND, 100, endpoint=False),
+                                     np.arange(_CDF_BAND, _CDF_REACH, 0.25)))
 
 
 @dataclass(frozen=True)
@@ -65,13 +88,16 @@ class BivariateParams:
 
 
 class MvMultiGauss:
-    """N-dimensional flat-top/cusped density with rejection sampling.
+    """N-dimensional flat-top/cusped density, its ellipsoid mass and sampler.
 
     ``cov`` is the covariance of the leading (m = 1) component; it must be
     symmetric to 1e-12 relative and positive definite (the Cholesky
     factorization is taken at construction and a failure names the first
     non-positive leading minor).  ``N = 1`` reduces exactly to the
-    univariate density.
+    univariate density.  The radial table behind `ellipsoid_mass` and
+    `sample` is built on first use and published by a single assignment, so
+    one object may be shared between threads; `sample` requires a
+    caller-owned ``numpy.random.Generator`` per thread.
     """
 
     def __init__(self, mean, cov, m, policy: TruncationPolicy | None = None):
@@ -103,10 +129,13 @@ class MvMultiGauss:
         self._shape = ShapeParam.of(m)
         self._policy = policy if policy is not None else DEFAULT_POLICY
         res = series_s(0.5 * n, self._shape, self._policy)
-        if not (math.isfinite(res.value) and res.value > 0.0):
+        check_normalization(res, self._shape, f"normalization S({0.5 * n:g}; M)")
+        if not res.value > 0.0:
             raise ValueError(f"normalization failed for M={self._shape.value}, N={n}")
         self._norm_result = res
         self._log_det_half = float(np.sum(np.log(np.diag(chol))))
+        self._radial_cache = None
+        self._sampler_cache = None
         for arr in (self._mean, self._cov, self._chol):
             arr.setflags(write=False)
 
@@ -175,46 +204,112 @@ class MvMultiGauss:
             return float(out)
         return out
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Rejection sampling against the leading Gaussian component.
+    def ellipsoid_mass(self, q):
+        """``P(Q <= q)``, the mass inside the ellipsoid ``Q(x) <= q``.
 
-        The proposal is N(mean, Sigma) and the acceptance probability is
-        ``[1 - (1 - e^(-Q/2))^M] / (c e^(-Q/2))`` with envelope constant
-        ``c = M`` for ``M >= 1`` and ``c = 1`` for ``M <= 1`` (both are valid
-        since ``1 - (1-g)^M <= c g``).  At ``M = 1`` the acceptance is
-        identically one and the output is exactly the Gaussian proposal
-        stream.  Expected acceptance rate: ``S(N/2; M) / c``.
+        ``q`` is a scalar or an array; a scalar gives a ``float``.  The mass
+        is the radial law's CDF at ``sqrt(q)``, from the object's cached
+        table: absolute error below 1e-14, taken from the tail masses above
+        the median so that ``1 - mass`` is as accurate as a float near 1
+        allows.  Negative ``q`` gives 0, ``+inf`` gives 1 and NaN gives NaN.
+        """
+        q = np.asarray(q, dtype=float)
+        flat = np.atleast_1d(q).ravel()
+        with np.errstate(invalid="ignore"):
+            r = np.sqrt(np.maximum(flat, 0.0))
+        table = self._radial_table()
+        out = table.below(r)
+        upper = out > 0.5
+        out[upper] = 1.0 - table.above(r[upper])
+        out[np.isnan(flat)] = np.nan
+        return float(out[0]) if q.ndim == 0 else out.reshape(q.shape)
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw ``n`` points from the exact law, without rejection.
+
+        The law is elliptical: ``X = mean + L (R D)`` with ``L`` the Cholesky
+        factor, ``D = Z/|Z|`` uniform on the sphere and the radius ``R``
+        drawn by inverse-CDF sampling of its radial law.  One block of
+        standard normals gives the directions, then one block of uniforms
+        the radii.  At ``M = 1`` the output is exactly the Gaussian stream
+        ``mean + Z L^T``.  Identical generator state yields identical output.
         """
         if not (isinstance(n, (int, np.integer)) and n >= 1):
             raise ValueError(f"n must be a positive integer, got {n!r}")
         if not isinstance(rng, np.random.Generator):
             raise TypeError("rng must be a numpy.random.Generator")
         n = int(n)
-        mval = self._shape.value
+        z = rng.standard_normal((n, self.dim))
         if self._shape.is_integer and self._shape.int_value == 1:
-            z = rng.standard_normal((n, self.dim))
             return self._mean + z @ self._chol.T
-        c = max(mval, 1.0)
-        rate = self.norm_const / c
-        out = np.empty((n, self.dim))
-        filled = 0
-        while filled < n:
-            k = min(int((n - filled) / max(rate, 1e-3) * 1.2) + 64, 2_000_000)
-            z = rng.standard_normal((k, self.dim))
-            u = rng.random(k)
-            w = 0.5 * np.sum(z * z, axis=1)
-            ratio = np.empty(k)
-            near = w <= 700.0
-            ratio[near] = mg_profile(w[near], self._shape) / (c * np.exp(-w[near]))
-            ratio[~near] = mval / c  # asymptotic value of the ratio in the far tail
-            accept = u < ratio
-            n_acc = int(np.count_nonzero(accept))
-            take = min(n_acc, n - filled)
-            if take:
-                pts = self._mean + z[accept][:take] @ self._chol.T
-                out[filled : filled + take] = pts
-                filled += take
+        norm = np.sqrt(np.einsum("ij,ij->i", z, z))
+        z[norm == 0.0, 0] = 1.0  # a zero direction (probability ~0) becomes e_1
+        norm[norm == 0.0] = 1.0
+        with np.errstate(divide="ignore"):
+            radius = self._radius_at(_ndtri(rng.random(n)))
+        z *= (radius / norm)[:, None]
+        out = z @ self._chol.T
+        out += self._mean
         return out
+
+    def _radius_at(self, score: np.ndarray) -> np.ndarray:
+        """Radius at each Gaussian score (clipped to the grid), by the PCHIP table.
+
+        The grid is uniform, so the cubic piece holding each score is found
+        by arithmetic rather than by binary search.
+        """
+        grid, coeffs = self._radial_sampler()
+        score = np.clip(score, grid[0], grid[-1])
+        k = ((score - grid[0]) * ((grid.size - 1) / (grid[-1] - grid[0]))).astype(np.intp)
+        np.minimum(k, grid.size - 2, out=k)
+        t = score - grid[k]
+        return ((coeffs[0, k] * t + coeffs[1, k]) * t + coeffs[2, k]) * t + coeffs[3, k]
+
+    def _radial_table(self) -> _CdfTable:
+        table = self._radial_cache
+        if table is None:
+            table = _CdfTable(self._shape, self.dim)
+            self._radial_cache = table  # one assignment publishes a complete table
+        return table
+
+    def _radial_sampler(self):
+        """Inverse of the radial CDF: a uniform grid of Gaussian scores and the
+        coefficients of the PCHIP interpolant of ``r`` on it.
+
+        The score is ``ndtri(P(R <= r))`` below the median and
+        ``-ndtri(P(R > r))`` above it, so both tails keep their relative
+        precision.  The grid has `_SAMPLER_NODES` points over ``|score| <=
+        8.5`` (beyond every uniform a float generator yields).  A coarse pass
+        over `_RADIUS_CANDIDATES` gives each grid score a first radius, and
+        two Newton steps in ``log r`` move it onto the score.
+        """
+        sampler = self._sampler_cache
+        if sampler is None:
+            table = self._radial_table()
+            sc = _radial_score(table, _RADIUS_CANDIDATES)
+            keep = np.isfinite(sc)
+            sc, log_rc = sc[keep], np.log(_RADIUS_CANDIDATES[keep])
+            grid = np.linspace(max(sc[0], -_SCORE_REACH), min(sc[-1], _SCORE_REACH),
+                               _SAMPLER_NODES)
+            log_r = np.interp(grid, sc, log_rc)
+            for _ in range(2):
+                r = np.exp(log_r)
+                s = _radial_score(table, r)
+                # d score / d log r = r density(r) / phi(score)
+                log_r -= (s - grid) * np.exp(-0.5 * s * s) / (_SQRT_2PI * r * table.density(r))
+            sampler = (grid, PchipInterpolator(grid, np.exp(log_r)).c)
+            self._sampler_cache = sampler  # one assignment publishes it
+        return sampler
+
+
+def _radial_score(table: _CdfTable, r: np.ndarray) -> np.ndarray:
+    """Gaussian score of the radial CDF at ``r``, from whichever tail is smaller."""
+    below = table.below(r)
+    upper = below > 0.5
+    with np.errstate(divide="ignore"):
+        score = _ndtri(below)
+        score[upper] = -_ndtri(table.above(r[upper]))
+    return score
 
 
 def _bivariate_norm(shape: ShapeParam, policy: TruncationPolicy) -> float:

@@ -45,6 +45,7 @@ __all__ = [
     "SeriesNotConverged",
     "DEFAULT_POLICY",
     "binom_coeff",
+    "check_normalization",
     "series_s",
     "series_tail",
     "signed_coeffs",
@@ -334,10 +335,14 @@ def series_tail(alpha: float, m_shape, n_summed: int):
     if s0 <= 1.0 + 1e-12 or n_summed < max(10.0, v + 2.0):
         return 0.0, math.inf
     try:
-        kappa = v / math.gamma(1.0 - v)
+        gamma = math.gamma(1.0 - v)
     except (OverflowError, ValueError):
         # Gamma overflow means the tail terms underflow long before n_summed.
         return 0.0, 0.0
+    if gamma == 0.0:
+        # underflow (M beyond ~170): the reflection constant is out of range
+        return 0.0, math.inf
+    kappa = v / gamma
     cs = _tail_coeffs(v)
     zs = _hurwitz_zeta(s0 + np.arange(5.0), n_summed + 1.0)
     if not np.all(np.isfinite(zs)):
@@ -448,6 +453,32 @@ def series_s(alpha: float, m_shape, policy: TruncationPolicy | None = None) -> S
     if shape.is_integer:
         return _series_integer(alpha, shape)
     return _series_fractional(alpha, shape, policy)
+
+
+#: Largest integer shape whose binomial coefficients the incremental product
+#: ``b (M - m + 1) / m`` forms exactly: from ``M = 55`` the intermediate
+#: ``b (M - m + 1)`` passes ``2^53`` and rounds.
+EXACT_COEFF_LIMIT = 54
+
+
+def check_normalization(result: SeriesResult, shape: ShapeParam, what: str,
+                        exact_limit: int = EXACT_COEFF_LIMIT) -> None:
+    """Raise :class:`SeriesNotConverged` unless a normalization kept its digits.
+
+    Integer shapes up to ``exact_limit`` sum exact double-double terms, so
+    only their last rounding counts; any other shape loses about
+    ``log10(condition_number)`` digits of plain float precision.  A value
+    whose estimated relative error exceeds 1e-3, or that is not finite,
+    retains no significant digits.
+    """
+    exact_terms = shape.is_integer and shape.int_value <= exact_limit
+    err_floor = 1e-30 if exact_terms else 2e-16
+    if not (math.isfinite(result.value)
+            and result.condition_number * err_floor <= 1e-3):
+        raise SeriesNotConverged(
+            f"{what} for M={shape.value} retains no significant digits "
+            f"(condition number {result.condition_number:.3g})"
+        )
 
 
 def xi_coeff(n: int, m_shape, policy: TruncationPolicy | None = None) -> float:

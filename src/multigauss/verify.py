@@ -283,7 +283,7 @@ def _mv_mass(mv: MvMultiGauss, reach: float = 10.0) -> float:
 
 
 def _chi2_gof(mv: MvMultiGauss, n: int, seed: int, bins: int = 20, reach: float = 4.0):
-    """Binned goodness of fit of the rejection sampler against the density.
+    """Binned goodness of fit of the sampler against the density.
 
     Cell probabilities come from per-cell Gauss-Legendre quadrature; cells
     with expected count below 10 are pooled (together with the region outside
@@ -328,6 +328,39 @@ def _chi2_gof(mv: MvMultiGauss, n: int, seed: int, bins: int = 20, reach: float 
     return chi2, crit
 
 
+#: Points of Q at which the radial law of the sampler is checked, and the
+#: false-alarm rate of that check.
+_RADIAL_POINTS = (0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 30.0)
+_RADIAL_ALARM = 1e-3
+
+
+def _radial_gof(mval: float, dim: int, n: int, seed: int) -> tuple[float, float]:
+    """Largest gap between the sampled and the quadrature law of Q.
+
+    ``P(Q <= q)`` is the integral of ``t^(N/2-1) f(t/2)`` over ``[0, q]``
+    divided by the integral over ``[0, inf)``, each by Gauss-Kronrod
+    quadrature of the profile written out directly.  Returns the gap and the
+    Dvoretzky-Kiefer-Wolfowitz bound it exceeds with probability
+    `_RADIAL_ALARM` for a correct sampler.
+    """
+    mv = MvMultiGauss(np.zeros(dim), np.eye(dim), mval)
+    x = mv.sample(n, np.random.default_rng(seed))
+    q = np.einsum("ij,ij->i", x, x)
+
+    def density(t):
+        return t ** (0.5 * dim - 1.0) * _profile_oracle(math.sqrt(t), mval)
+
+    # beyond Q = 100 the profile is below M e^-50: no mass at this tolerance
+    edges = (0.0,) + _RADIAL_POINTS + (100.0,)
+    pieces = [integrate(density, QuadratureSpec(a, b, abs_tol=1e-12))
+              for a, b in zip(edges[:-1], edges[1:])]
+    total = math.fsum(pieces)
+    want = np.cumsum(pieces[:-1]) / total
+    got = np.count_nonzero(q[:, None] <= np.array(_RADIAL_POINTS), axis=0) / n
+    eps = math.sqrt(math.log(2.0 / _RADIAL_ALARM) / (2.0 * n))
+    return float(np.max(np.abs(got - want))), eps
+
+
 def mv_reports() -> list[OracleReport]:
     reports = []
     for mval in (1, 40, 1.0 / 40.0):
@@ -365,7 +398,7 @@ def mv_reports() -> list[OracleReport]:
         dev = max(dev, abs(a - b) / max(abs(b), 1e-300))
     reports.append(OracleReport("mv/bivariate closed form vs Cholesky", dev, 0.0,
                                 abs_tol=1e-13))
-    # rejection sampler goodness of fit
+    # sampler goodness of fit in 2-D
     for mval in (1, 10):
         mv = MvMultiGauss([0.0, 0.0], np.eye(2), mval)
         chi2, crit = _chi2_gof(mv, 100_000, SEED_MV)
@@ -374,21 +407,13 @@ def mv_reports() -> list[OracleReport]:
             notes=f"seed {SEED_MV}; passes when chi2 <= critical value (alpha=0.01)")
         rep.passed = chi2 <= crit
         reports.append(rep)
-    # measured acceptance rate of the rejection envelope at M = 40
-    mval = 40
-    mv = MvMultiGauss([0.0, 0.0], np.eye(2), mval)
-    rng = np.random.default_rng(SEED_MV)
-    n_prop = 200_000
-    z = rng.standard_normal((n_prop, 2))
-    u = rng.random(n_prop)
-    w = 0.5 * np.sum(z * z, axis=1)
-    from .univariate import mg_profile
-    ratio = mg_profile(w, mv.shape) / (mval * np.exp(-w))
-    measured = float(np.mean(u < ratio))
-    predicted = mv.norm_const / mval
-    reports.append(OracleReport(
-        "mv/rejection acceptance rate (M=40)", measured, predicted, rel_tol=0.2,
-        notes="predicted rate is S(N/2; M)/M"))
+    # radial law of the sampler in N = 3
+    for mval in (40, 1.0 / 40.0):
+        gap, eps = _radial_gof(mval, 3, 100_000, SEED_MV)
+        reports.append(OracleReport(
+            f"mv/sampler radial DKW (M={mval:g}, N=3, n=1e5)", gap, 0.0, abs_tol=eps,
+            notes=f"seed {SEED_MV}; max |F_n - F| of Q at {len(_RADIAL_POINTS)} points "
+                  f"against quadrature; DKW bound at false-alarm rate {_RADIAL_ALARM:g}"))
     return reports
 
 

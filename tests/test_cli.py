@@ -173,3 +173,47 @@ class TestVerify:
         reports = json.loads(out)
         assert all(r["passed"] for r in reports)
         assert "checks passed" in err
+
+
+class TestNegativeExponentValues:
+    @pytest.mark.parametrize("spaced,joined", [
+        (["eval", "pdf", "mg", "--m", "2", "--mu", "-5e-05", "--points", "3"],
+         ["eval", "pdf", "mg", "--m", "2", "--mu=-5e-05", "--points", "3"]),
+        (["eval", "pdf", "mv", "--m", "2", "--rho", "-5e-01", "--points", "3"],
+         ["eval", "pdf", "mv", "--m", "2", "--rho=-5e-01", "--points", "3"]),
+        (["sample", "mv", "--m", "2", "--mu1", "-1.5E+1", "--rho", "-2e-1", "--n", "3",
+          "--seed", "1"],
+         ["sample", "mv", "--m", "2", "--mu1=-1.5E+1", "--rho=-2e-1", "--n", "3",
+          "--seed", "1"]),
+    ])
+    def test_accepted_after_a_flag(self, capsys, spaced, joined):
+        code, out, err = run(capsys, spaced)
+        assert code == 0, err
+        assert out == run(capsys, joined)[1]
+
+    def test_negative_sigma1_is_still_invalid(self, capsys):
+        code, _, err = run(capsys, ["eval", "pdf", "mv", "--sigma1", "-1e-3"])
+        assert code == 2
+        assert "sigma1" in err
+
+    def test_exponent_value_lands_in_its_flag(self, capsys):
+        code, out, _ = run(capsys, ["eval", "pdf", "mg", "--mu", "-5e-05", "--from",
+                                    "-5e-05", "--to", "1", "--points", "2"])
+        assert code == 0
+        first = parse_csv(out)[0]
+        assert float(first["x"]) == -5e-05
+        assert float(first["value"]) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi),
+                                                      rel=1e-15)
+
+
+class TestNormalizationExitCodes:
+    def test_underflowing_reflection_constant(self, capsys):
+        # math.gamma(1 - M) underflows at M = 200.3
+        code, _, err = run(capsys, ["eval", "pdf", "mg", "--m", "200.3"])
+        assert code == 3
+        assert json.loads(err.splitlines()[0])["error"]["type"] == "series_not_converged"
+
+    def test_inexact_integer_shape_mv(self, capsys):
+        code, _, err = run(capsys, ["eval", "pdf", "mv", "--m", "55"])
+        assert code == 3
+        assert json.loads(err.splitlines()[0])["error"]["type"] == "series_not_converged"

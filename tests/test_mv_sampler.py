@@ -1,0 +1,228 @@
+"""The radial law of the multivariate family: table, ellipsoid mass, sampler.
+
+References are mpmath quadratures of ``r^(N-1) f(r^2/2)``, with the profile
+``f(w) = 1 - (1 - e^-w)^M`` written out here and computed afresh in each run.
+"""
+
+import math
+import sys
+import threading
+import time
+
+import mpmath as mp
+import numpy as np
+import pytest
+from scipy.special import roots_jacobi
+
+from multigauss import MvMultiGauss, SeriesNotConverged
+from multigauss.multivariate import _radial_score
+from multigauss.series import ShapeParam
+from multigauss.univariate import (
+    _CDF_BAND, _CDF_EDGES, _CDF_REACH, _GJ_ORDER, _GL_NODES, _GL_WEIGHTS, _CdfTable,
+    mg_profile,
+)
+
+SHAPES = (1e-3, 0.025, 0.5, 1, 2.5, 10, 40, 54)
+DIMS = (2, 3, 5)
+QS = (1e-6, 0.01, 0.5, 1.0, 2.0, 4.0, 9.0, 16.0, 25.0, 40.0)
+
+
+def _profile(w, m):
+    """``1 - (1 - e^-w)^M`` with full relative precision in the tail."""
+    if w < 1:
+        return 1 - (-mp.expm1(-w)) ** m  # expm1 keeps the cusp at w -> 0
+    return -mp.expm1(m * mp.log1p(-mp.exp(-w)))
+
+
+def _radial_masses(mval, dim, qs):
+    """``P(Q <= q)`` and ``P(Q > q)`` at each ``q``, both summed from pieces.
+
+    The upper tail is the sum of the pieces beyond ``q`` plus the tail
+    beyond the last point, never ``1 - P(Q <= q)``.
+    """
+    with mp.workdps(20):
+        m = mp.mpf(mval)
+        f = lambda r: r ** (dim - 1) * _profile(r * r / 2, m)
+        edges = [mp.mpf(0)] + [mp.sqrt(mp.mpf(q)) for q in qs]
+        pieces = [mp.quad(f, [a, b]) for a, b in zip(edges[:-1], edges[1:])]
+        pieces.append(mp.quad(f, [edges[-1], 8, 16, mp.inf]))
+        total = mp.fsum(pieces)
+        below = [mp.fsum(pieces[:k + 1]) / total for k in range(len(qs))]
+        above = [mp.fsum(pieces[k + 1:]) / total for k in range(len(qs))]
+        return [float(v) for v in below], [float(v) for v in above]
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("mval", SHAPES)
+def test_ellipsoid_mass_matches_mpmath(mval, dim):
+    below, above = _radial_masses(mval, dim, QS)
+    mv = MvMultiGauss(np.zeros(dim), np.eye(dim), mval)
+    mass = mv.ellipsoid_mass(np.array(QS))
+    assert np.max(np.abs(mass - below)) <= 1e-14
+    # the table's upper tail keeps its relative precision out to q = 40 ...
+    tail = mv._radial_table().above(np.sqrt(QS))
+    assert np.max(np.abs(tail / above - 1.0)) <= 1e-10
+    # ... and 1 - mass is that tail up to the float spacing below 1
+    above = np.array(above)
+    assert np.all(np.abs((1.0 - mass) - above) <= np.maximum(1e-10 * above, 2.0**-53))
+
+
+def test_ellipsoid_mass_edges():
+    mv = MvMultiGauss([1.0, -1.0], [[2.0, 0.3], [0.3, 1.0]], 2.5)
+    out = mv.ellipsoid_mass(np.array([[-1.0, 0.0], [np.inf, np.nan]]))
+    assert out.shape == (2, 2)
+    assert out[0, 0] == 0.0 and out[0, 1] == 0.0 and out[1, 0] == 1.0
+    assert math.isnan(out[1, 1])
+    assert isinstance(mv.ellipsoid_mass(2.0), float)
+    # the mass is that of Q, whatever the covariance
+    standard = MvMultiGauss([0.0, 0.0], np.eye(2), 2.5)
+    assert mv.ellipsoid_mass(2.0) == standard.ellipsoid_mass(2.0)
+
+
+def _unit_table_lower_tail(shape, au):
+    """The univariate table's lower tail as it was written before the table
+    took a dimension: band rule without the ``v^(dim-1)`` factor, panels
+    without the radial weight."""
+    v = shape.value
+    xg, wg = roots_jacobi(_GJ_ORDER, 0.0, 2.0 * v)
+    nodes = 0.5 * (1.0 + xg)
+
+    def legendre(lo, hi):
+        half = 0.5 * (hi - lo)
+        s = (lo + half)[:, None] + half[:, None] * _GL_NODES
+        return half * (mg_profile(0.5 * s * s, shape) * _GL_WEIGHTS).sum(axis=1)
+
+    def band(a):
+        y = 0.5 * (a[:, None] * nodes) ** 2
+        safe = np.where(y > 0.0, y, 1.0)
+        phi = np.where(y > 0.0, -np.expm1(-safe) / safe, 1.0)
+        chi = (np.exp(v * np.log(phi)) * wg).sum(axis=1)
+        return a - a ** (2.0 * v + 1.0) * 2.0 ** (-3.0 * v - 1.0) * chi
+
+    tail = np.zeros(_CDF_EDGES.size)
+    tail[1:-1] = np.cumsum(legendre(_CDF_EDGES[1:-1], _CDF_EDGES[2:])[::-1])[::-1]
+    tail[0] = tail[1] + band(np.array([_CDF_BAND]))[0]
+    scale = 0.5 / tail[0]
+    out = np.zeros_like(au)
+    inner = au < _CDF_BAND
+    out[inner] = 0.5 - band(au[inner]) * scale
+    mid = (au >= _CDF_BAND) & (au < _CDF_REACH)
+    k = np.searchsorted(_CDF_EDGES, au[mid], side="right")
+    out[mid] = (tail[k] + legendre(au[mid], _CDF_EDGES[k])) * scale
+    return out
+
+
+@pytest.mark.parametrize("mval", (1, 2, 10, 40, 54, 0.025, 0.5, 2.5, 12.3))
+def test_unit_dimension_table_keeps_its_bits(mval):
+    shape = ShapeParam.of(mval)
+    au = np.concatenate((np.linspace(0.0, 45.0, 3001), [0.3, 0.3 - 1e-12, 40.0]))
+    got = _CdfTable(shape, 1).lower_tail(au)
+    np.testing.assert_array_equal(got, _unit_table_lower_tail(shape, au))
+
+
+@pytest.mark.parametrize("mval,dim", [(0.025, 2), (2.5, 3), (40, 5)])
+def test_inverse_table_matches_bisection(mval, dim):
+    mv = MvMultiGauss(np.zeros(dim), np.eye(dim), mval)
+    grid, _ = mv._radial_sampler()
+    assert grid[0] <= -8.3 and grid[-1] >= 8.3
+    scores = np.random.default_rng(11).uniform(-8.3, 8.3, 1000)
+    lo, hi = np.zeros_like(scores), np.full_like(scores, _CDF_REACH)
+    table = mv._radial_table()
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = _radial_score(table, mid) < scores
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    assert np.max(np.abs(mv._radius_at(scores) - 0.5 * (lo + hi))) <= 1e-6
+
+
+def _dkw(n, delta):
+    return math.sqrt(math.log(2.0 / delta) / (2.0 * n))
+
+
+@pytest.mark.parametrize("mval,dim", [(1e-3, 2), (0.025, 3), (0.5, 2), (2.5, 3), (40, 5)])
+def test_sampler_radial_law_and_symmetry(mval, dim):
+    rng = np.random.default_rng(7)
+    scale = rng.uniform(0.5, 2.0, dim)
+    b = rng.normal(0.0, 0.4, (dim, dim))
+    cov = (b @ b.T + np.eye(dim)) * np.outer(scale, scale)
+    mean = rng.uniform(-1.0, 1.0, dim)
+    n = 100_000
+    x = MvMultiGauss(mean, cov, mval).sample(n, np.random.default_rng(8))
+    z = np.linalg.solve(np.linalg.cholesky(cov), (x - mean).T)
+    q = np.sort(np.sum(z * z, axis=0))
+    points = (0.05, 0.25, 1.0, 2.0, 4.0, 8.0, 16.0)
+    below, _ = _radial_masses(mval, dim, points)
+    got = np.searchsorted(q, points, side="right") / n
+    # false-alarm rate 1e-6 for the radial law and for the sign tests together
+    assert np.max(np.abs(got - below)) <= _dkw(n, 0.5e-6)
+    negative = np.mean(z < 0.0, axis=1)
+    assert np.max(np.abs(negative - 0.5)) <= _dkw(n, 0.5e-6 / dim)
+
+
+def test_same_seed_same_points():
+    mv = MvMultiGauss([0.0, 1.0, 2.0], np.diag([1.0, 2.0, 3.0]), 0.5)
+    a = mv.sample(2000, np.random.default_rng(3))
+    b = MvMultiGauss([0.0, 1.0, 2.0], np.diag([1.0, 2.0, 3.0]), 0.5).sample(
+        2000, np.random.default_rng(3))
+    np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(a, mv.sample(2000, np.random.default_rng(4)))
+
+
+def test_threads_sharing_one_object_match_one_thread():
+    mv = MvMultiGauss([0.5, -0.5], [[1.0, 0.4], [0.4, 2.0]], 2.5)
+    seeds = range(8)
+    want = [MvMultiGauss(mv.mean, mv.cov, 2.5).sample(5000, np.random.default_rng(s))
+            for s in seeds]
+    got = [None] * 8
+    start = threading.Barrier(8)
+
+    def work(i):
+        start.wait(timeout=60.0)  # every thread meets the object before its tables exist
+        got[i] = mv.sample(5000, np.random.default_rng(seeds[i]))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_tiny_shape_draws_fast():
+    mv = MvMultiGauss([0.0, 0.0], np.eye(2), 1e-3)
+    t0 = time.perf_counter()
+    x = mv.sample(100_000, np.random.default_rng(0))
+    assert time.perf_counter() - t0 < 0.5
+    assert x.shape == (100_000, 2) and np.all(np.isfinite(x))
+
+
+def test_one_dimension_is_the_univariate_law():
+    mv = MvMultiGauss([0.0], [[1.0]], 2.5)
+    x = mv.sample(100_000, np.random.default_rng(2))[:, 0]
+    assert abs(np.mean(x < 0.0) - 0.5) <= _dkw(100_000, 1e-6)
+    from multigauss import MultiGauss
+
+    u = np.sort(x)
+    pts = np.array([-2.0, -1.0, -0.2, 0.3, 1.5])
+    got = np.searchsorted(u, pts, side="right") / u.size
+    assert np.max(np.abs(got - MultiGauss(0.0, 1.0, 2.5).cdf(pts))) <= _dkw(100_000, 1e-6)
+
+
+def test_dimension_beyond_the_table_raises():
+    mv = MvMultiGauss(np.zeros(1000), np.eye(1000), 2.5)
+    with pytest.raises(ValueError, match="beyond the table"):
+        mv.sample(10, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("mval", (55, 56, 57, 58))
+def test_inexact_integer_normalization_raises(mval):
+    with pytest.raises(SeriesNotConverged):
+        MvMultiGauss([0.0, 0.0], np.eye(2), mval)
+    MvMultiGauss([0.0, 0.0], np.eye(2), 54)  # the last exact shape still builds

@@ -15,6 +15,7 @@ from multigauss import (
     signed_coeffs,
     xi_coeff,
 )
+from multigauss.series import check_normalization, series_tail
 
 # Frozen references from 40-digit evaluations (integral representation for
 # fractional shapes, exact finite sums for integer ones).
@@ -199,3 +200,17 @@ class TestXiCoeff:
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             xi_coeff(-1, 2)
+
+
+class TestTailReflectionUnderflow:
+    def test_gamma_underflow_is_not_applicable(self):
+        # math.gamma(1 - 200.3) underflows to 0: no completion, no ZeroDivisionError
+        assert math.gamma(1.0 - 200.3) == 0.0
+        assert series_tail(0.5, 200.3, 2000) == (0.0, math.inf)
+
+    def test_shared_normalization_check(self):
+        check_normalization(series_s(0.5, 54), ShapeParam(54), "c0")
+        with pytest.raises(SeriesNotConverged, match="M=55"):
+            check_normalization(series_s(0.5, 55), ShapeParam(55), "c0")
+        with pytest.raises(SeriesNotConverged):
+            check_normalization(series_s(0.5, 200.3), ShapeParam(200.3), "c0")
