@@ -4,13 +4,17 @@ Subcommands:
 
 * ``eval``    - evaluate pdf/cdf/quantile/moments/cumulants/mgf/cf on a grid
 * ``sample``  - draw reproducible variates (PCG64 generator, explicit seed)
-* ``figure``  - emit the data series behind the bundled figure presets 1-8
+* ``figure``  - emit the data series of a preset in `FIGURES`: pdf and CDF
+  over an M sweep (1) and into the cusped regime (6), pdf over a
+  (mu, sigma) set (2), their log-scale counterparts (3, 7, 4) and bivariate
+  surfaces (5, 8)
 * ``verify``  - run the oracle verification suites and report pass/fail
 
-Output is CSV (header ``x,value,series``; 17 significant digits;
-two-abscissa data uses ``x1,x2``) or JSON (array of row objects).  Exit
-codes: 0 success, 1 verification failure, 2 invalid input, 3 non-converged
-series.
+Every command builds one table, a NumPy record array with one field per
+output column, and writes it as CSV (header ``x,value,series``; 17
+significant digits; two-abscissa data uses ``x1,x2``) or JSON (array of row
+objects).  Exit codes: 0 success, 1 verification failure, 2 invalid input,
+3 non-converged series.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -35,26 +40,41 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INVALID = 2
 EXIT_NOT_CONVERGED = 3
 
+#: Parameter flags of ``eval`` and ``sample`` with their defaults; figure
+#: presets start from the same defaults.
+_PARAM_DEFAULTS = {"mu": 0.0, "sigma": 1.0, "m": 1.0, "rho": 0.0,
+                   "mu1": 0.0, "mu2": 0.0, "sigma1": 1.0, "sigma2": 1.0}
+_PARAM_HELP = {"mu": "location parameter", "sigma": "scale parameter",
+               "m": "shape parameter M > 0", "rho": "bivariate correlation"}
+#: Series label of each family, formatted with the parameters.
+_LABELS = {"mg": "M={m:g}", "lmg": "M={m:g}", "mv": "M={m:g} rho={rho:g}"}
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+
+def _table(**columns) -> np.recarray:
+    """One output table: a field per keyword, in order, one row per grid point.
+
+    A scalar column (the series label) is repeated on every row.
+    """
+    cols = np.broadcast_arrays(*(np.asarray(c) for c in columns.values()))
+    return np.rec.fromarrays(cols, names=list(columns))
 
 
-def _emit(rows: list[dict], columns: list[str], fmt: str, out_path: str | None) -> None:
-    """Write rows either as CSV (fixed column order) or a JSON array."""
+def _emit(table: np.recarray, fmt: str, *, out_path: str | None) -> None:
+    """Write a table as CSV (float cells with 17 significant digits) or JSON.
+
+    ``out_path`` is keyword-only so that wrappers (the perfbench tracer) find
+    the output file under that name.
+    """
+    names = table.dtype.names
     if fmt == "json":
-        text = json.dumps(
-            [{k: r[k] for k in columns} for r in rows],
-            default=lambda v: float(v),
-        )
+        text = json.dumps([dict(zip(names, row)) for row in table.tolist()])
     else:
+        cols = [[f"{v:.17g}" for v in table[n].tolist()] if table.dtype[n].kind == "f"
+                else table[n].tolist() for n in names]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for r in rows:
-            writer.writerow(
-                _fmt(r[c]) if isinstance(r[c], float) else str(r[c]) for c in columns
-            )
+        writer.writerow(names)
+        writer.writerows(zip(*cols))
         text = buf.getvalue()
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -68,10 +88,12 @@ def _error(kind: str, message: str, code: int) -> int:
     return code
 
 
-def _order(args) -> int:
+def _orders(args, f, label: str) -> np.recarray:
+    """``f(k)`` for the orders ``k = 1..--k`` of ``eval moments|cumulants``."""
     if args.k < 1:
         raise ValueError("--k must be a positive integer")
-    return args.k
+    ks = range(1, args.k + 1)
+    return _table(x=np.array(ks, dtype=float), value=[f(k) for k in ks], series=label)
 
 
 def _grid(args, default_lo: float, default_hi: float) -> np.ndarray:
@@ -84,16 +106,25 @@ def _grid(args, default_lo: float, default_hi: float) -> np.ndarray:
     return np.linspace(lo, hi, args.points)
 
 
-def _curve_rows(d, kind: str, xs: np.ndarray, label: str) -> list[dict]:
-    """Rows of a pdf or cdf curve of ``d`` on the grid ``xs``.
+def _build(family: str, p):
+    """The distribution of ``family`` whose parameters ``p`` carries as attributes."""
+    if family == "mg":
+        return MultiGauss(p.mu, p.sigma, p.m)
+    if family == "lmg":
+        return LogMultiGauss(p.mu, p.sigma, p.m)
+    b = BivariateParams(p.mu1, p.mu2, p.sigma1, p.sigma2, p.rho)
+    return MvMultiGauss(b.mean(), b.covariance(), p.m)
 
-    The pdf is evaluated point by point, the cdf in one array call.
-    """
-    if kind == "pdf":
-        vals = [float(d.pdf(float(x))) for x in xs]
-    else:
-        vals = d.cdf(xs)
-    return [{"x": float(x), "value": float(v), "series": label} for x, v in zip(xs, vals)]
+
+def _curve(d, kind: str, xs: np.ndarray, label: str) -> np.recarray:
+    """The pdf or cdf of ``d`` on the grid ``xs``, in one array call."""
+    return _table(x=xs, value=d.pdf(xs) if kind == "pdf" else d.cdf(xs), series=label)
+
+
+def _surface(mv: MvMultiGauss, x1: np.ndarray, x2: np.ndarray, label: str) -> np.recarray:
+    """The bivariate pdf on the product grid ``x1 x x2`` (``x2`` varies fastest)."""
+    g1, g2 = (g.ravel() for g in np.meshgrid(x1, x2, indexing="ij"))
+    return _table(x1=g1, x2=g2, value=mv.pdf(np.stack([g1, g2], axis=1)), series=label)
 
 
 def _make_rng(seed: int) -> np.random.Generator:
@@ -106,93 +137,65 @@ def _make_rng(seed: int) -> np.random.Generator:
 # eval
 # ---------------------------------------------------------------------------
 
-def _eval_mg(args) -> tuple[list[dict], list[str]]:
-    d = MultiGauss(args.mu, args.sigma, args.m)
-    label = f"M={args.m:g}"
-    rows: list[dict] = []
+def _eval_mg(args, d: MultiGauss, label: str) -> np.recarray:
     kind = args.kind
     if kind in ("pdf", "cdf"):
-        xs = _grid(args, d.mu - 5 * d.sigma, d.mu + 5 * d.sigma)
-        rows = _curve_rows(d, kind, xs, label)
-    elif kind == "quantile":
+        return _curve(d, kind, _grid(args, d.mu - 5 * d.sigma, d.mu + 5 * d.sigma), label)
+    if kind == "quantile":
         us = _grid(args, 0.01, 0.99)
         if us[0] <= 0.0 or us[-1] >= 1.0:
             raise ValueError("quantile grid must lie strictly inside (0, 1)")
-        rows = [{"x": float(u), "value": float(q), "series": label}
-                for u, q in zip(us, d.quantile(us))]
-    elif kind == "mgf":
+        return _table(x=us, value=d.quantile(us), series=label)
+    if kind == "mgf":
         ts = _grid(args, -1.0, 1.0)
-        rows = [{"x": float(t), "value": d.mgf(float(t)), "series": label} for t in ts]
-    elif kind == "cf":
+        return _table(x=ts, value=[d.mgf(float(t)) for t in ts], series=label)
+    if kind == "cf":
         ws = _grid(args, -8.0, 8.0)
-        vals = [d.cf(float(w)) for w in ws]
-        rows = [{"x": float(w), "value": v.real, "series": label + ":re"}
-                for w, v in zip(ws, vals)]
-        rows += [{"x": float(w), "value": v.imag, "series": label + ":im"}
-                 for w, v in zip(ws, vals)]
-    elif kind == "moments":
-        rows = [{"x": float(k), "value": d.raw_moment(k), "series": label}
-                for k in range(1, _order(args) + 1)]
-    elif kind == "cumulants":
-        rows = [{"x": float(k), "value": d.cumulant(k), "series": label}
-                for k in range(1, _order(args) + 1)]
-    else:
-        raise ValueError(f"kind {kind!r} is not available for family 'mg'")
-    return rows, ["x", "value", "series"]
+        vals = np.array([d.cf(float(w)) for w in ws])
+        return _table(x=np.concatenate([ws, ws]), value=np.concatenate([vals.real, vals.imag]),
+                      series=np.repeat([label + ":re", label + ":im"], len(ws)))
+    if kind == "moments":
+        return _orders(args, d.raw_moment, label)
+    if kind == "cumulants":
+        return _orders(args, d.cumulant, label)
+    raise ValueError(f"kind {kind!r} is not available for family 'mg'")
 
 
-def _eval_lmg(args) -> tuple[list[dict], list[str]]:
-    d = LogMultiGauss(args.mu, args.sigma, args.m)
-    label = f"M={args.m:g}"
+def _eval_lmg(args, d: LogMultiGauss, label: str) -> np.recarray:
     kind = args.kind
     base = d.base
     if kind in ("pdf", "cdf"):
-        default_lo = math.exp(base.mu - 5 * base.sigma)
-        default_hi = math.exp(base.mu + 5 * base.sigma)
-        ys = _grid(args, default_lo, default_hi)
-        rows = _curve_rows(d, kind, ys, label)
-    elif kind == "moments":
-        rows = [{"x": float(k), "value": d.moment(k), "series": label}
-                for k in range(1, _order(args) + 1)]
-    else:
-        raise ValueError(
-            f"kind {kind!r} is not available for family 'lmg' "
-            "(the log-scale MGF diverges and no quantile/cumulants are defined)"
-        )
-    return rows, ["x", "value", "series"]
+        ys = _grid(args, math.exp(base.mu - 5 * base.sigma), math.exp(base.mu + 5 * base.sigma))
+        return _curve(d, kind, ys, label)
+    if kind == "moments":
+        return _orders(args, d.moment, label)
+    raise ValueError(
+        f"kind {kind!r} is not available for family 'lmg' "
+        "(the log-scale MGF diverges and no quantile/cumulants are defined)"
+    )
 
 
-def _eval_mv(args) -> tuple[list[dict], list[str]]:
-    if args.kind != "pdf":
-        raise ValueError("family 'mv' supports only kind 'pdf'")
-    p = BivariateParams(args.mu1, args.mu2, args.sigma1, args.sigma2, args.rho)
-    mv = MvMultiGauss(p.mean(), p.covariance(), args.m)
-    lo1 = args.from_ if args.from_ is not None else args.mu1 - 4 * args.sigma1
-    hi1 = args.to if args.to is not None else args.mu1 + 4 * args.sigma1
-    lo2 = args.mu2 - 4 * args.sigma2
-    hi2 = args.mu2 + 4 * args.sigma2
-    if not lo1 < hi1:
-        raise ValueError("grid bounds must satisfy from < to")
-    n = args.points
-    if n < 2:
-        raise ValueError("curve output needs at least 2 grid points")
-    x1 = np.linspace(lo1, hi1, n)
-    x2 = np.linspace(lo2, hi2, n)
-    g1, g2 = np.meshgrid(x1, x2, indexing="ij")
-    vals = mv.pdf(np.stack([g1.ravel(), g2.ravel()], axis=1))
-    label = f"M={args.m:g} rho={args.rho:g}"
-    rows = [{"x1": float(a), "x2": float(b), "value": float(v), "series": label}
-            for a, b, v in zip(g1.ravel(), g2.ravel(), vals)]
-    return rows, ["x1", "x2", "value", "series"]
+def _eval_mv(args, mv: MvMultiGauss, label: str) -> np.recarray:
+    x1 = _grid(args, args.mu1 - 4 * args.sigma1, args.mu1 + 4 * args.sigma1)
+    x2 = np.linspace(args.mu2 - 4 * args.sigma2, args.mu2 + 4 * args.sigma2, args.points)
+    return _surface(mv, x1, x2, label)
+
+
+_EVALS = {"mg": _eval_mg, "lmg": _eval_lmg, "mv": _eval_mv}
 
 
 def cmd_eval(args) -> int:
-    handlers = {"mg": _eval_mg, "lmg": _eval_lmg, "mv": _eval_mv}
-    rows, columns = handlers[args.family](args)
-    for r in rows:
-        if not all(math.isfinite(v) for v in r.values() if isinstance(v, float)):
-            raise SeriesNotConverged(f"non-finite output at {r}")
-    _emit(rows, columns, args.format, args.out)
+    if args.family == "mv" and args.kind != "pdf":
+        raise ValueError("family 'mv' supports only kind 'pdf'")
+    d = _build(args.family, args)
+    table = _EVALS[args.family](args, d, _LABELS[args.family].format(**vars(args)))
+    names = table.dtype.names
+    finite = np.isfinite(np.column_stack(
+        [table[n] for n in names if table.dtype[n].kind == "f"])).all(axis=1)
+    if not finite.all():
+        row = table[np.argmin(finite)].tolist()
+        raise SeriesNotConverged(f"non-finite output at {dict(zip(names, row))}")
+    _emit(table, args.format, out_path=args.out)
     return EXIT_OK
 
 
@@ -204,28 +207,12 @@ def cmd_sample(args) -> int:
     rng = _make_rng(args.seed)
     if args.n < 1:
         raise ValueError("n must be >= 1")
-    if args.family == "mg":
-        d = MultiGauss(args.mu, args.sigma, args.m)
-        xs = d.sample(args.n, rng)
-        label = f"M={args.m:g}"
-        rows = [{"x": float(i + 1), "value": float(v), "series": label}
-                for i, v in enumerate(xs)]
-        _emit(rows, ["x", "value", "series"], args.format, args.out)
-    elif args.family == "lmg":
-        d = LogMultiGauss(args.mu, args.sigma, args.m)
-        ys = d.sample(args.n, rng)
-        label = f"M={args.m:g}"
-        rows = [{"x": float(i + 1), "value": float(v), "series": label}
-                for i, v in enumerate(ys)]
-        _emit(rows, ["x", "value", "series"], args.format, args.out)
-    else:
-        p = BivariateParams(args.mu1, args.mu2, args.sigma1, args.sigma2, args.rho)
-        mv = MvMultiGauss(p.mean(), p.covariance(), args.m)
-        pts = mv.sample(args.n, rng)
-        label = f"M={args.m:g} rho={args.rho:g}"
-        rows = [{"x": float(i + 1), "x1": float(a), "x2": float(b), "series": label}
-                for i, (a, b) in enumerate(pts)]
-        _emit(rows, ["x", "x1", "x2", "series"], args.format, args.out)
+    draws = _build(args.family, args).sample(args.n, rng)
+    # ``x`` is the 1-based index; a bivariate draw is a row (x1, x2)
+    values = {"x1": draws[:, 0], "x2": draws[:, 1]} if args.family == "mv" else {"value": draws}
+    table = _table(x=np.arange(1.0, args.n + 1), **values,
+                   series=_LABELS[args.family].format(**vars(args)))
+    _emit(table, args.format, out_path=args.out)
     return EXIT_OK
 
 
@@ -233,22 +220,41 @@ def cmd_sample(args) -> int:
 # figure presets
 # ---------------------------------------------------------------------------
 
-#: Figure presets: shape-parameter sweeps for the univariate family (1),
-#: location/scale sweeps (2, 4), the log-scale family (3, 7), the bivariate
-#: surfaces (5, 8) and shape sweeps into the cusped regime (6, 7, 8).
-#: Location/scale sets for 2 and 4 are package defaults, documented here.
-FIGURE_M_SWEEP = (1.0, 2.0, 10.0, 40.0)
-FIGURE_FRACTIONAL_M = (1.0, 0.5, 0.25, 0.025)
-FIGURE_MU_SIGMA = ((0.0, 1.0), (0.0, 2.0), (3.0, 1.0), (0.0, 0.5))
-FIGURE_BIV = ((1.0, 0.0), (1.0, 0.7), (40.0, 0.0), (40.0, 0.7))
-FIGURE_BIV_FRACTIONAL = ((1.0, 0.0), (1.0, 0.7), (0.025, 0.0), (0.025, 0.7))
+def _series(label: str, cases) -> tuple:
+    """``(label, parameters)`` of each case; ``label`` formats its parameters."""
+    return tuple((label.format(**c), c) for c in cases)
+
+
+def _surfaces(m_values) -> tuple:
+    return _series("M={m:g} rho={rho:g}",
+                   ({"m": m, "rho": r} for m in m_values for r in (0.0, 0.7)))
+
+
+_SHAPES = _series("M={m:g}", ({"m": m} for m in (1.0, 2.0, 10.0, 40.0)))
+_CUSPED = _series("M={m:g}", ({"m": m} for m in (1.0, 0.5, 0.25, 0.025)))
+_LOCATIONS = _series("mu={mu:g} sigma={sigma:g}", (
+    {"m": 10.0, "mu": mu, "sigma": sigma}
+    for mu, sigma in ((0.0, 1.0), (0.0, 2.0), (3.0, 1.0), (0.0, 0.5))))
+
+#: Figure presets: id -> (family, kinds, series).  A univariate series is one
+#: curve per kind over ``mu +- 5 sigma`` (log-scale: its exponential), with
+#: panels a, b, ... in kind order; a bivariate series is one surface over
+#: ``[-4, 4]^2`` in a panel of its own.  Parameters a series leaves unset keep
+#: their flag defaults; the (mu, sigma) set of presets 2 and 4 is a package
+#: default.
+FIGURES = {
+    1: ("mg", ("pdf", "cdf"), _SHAPES),
+    2: ("mg", ("pdf",), _LOCATIONS),
+    3: ("lmg", ("pdf", "cdf"), _SHAPES),
+    4: ("lmg", ("pdf",), _LOCATIONS),
+    5: ("mv", ("pdf",), _surfaces((1.0, 40.0))),
+    6: ("mg", ("pdf", "cdf"), _CUSPED),
+    7: ("lmg", ("pdf",), _CUSPED),
+    8: ("mv", ("pdf",), _surfaces((1.0, 0.025))),
+}
 
 _GRID_1D = 801
 _GRID_2D = 201
-
-
-def _label_m(mval: float) -> str:
-    return f"M={mval:g}"
 
 
 def _sanitize(label: str) -> str:
@@ -256,93 +262,32 @@ def _sanitize(label: str) -> str:
             .replace(".", "p").replace("-", "m"))
 
 
-def _fig_univariate(m_values) -> list[tuple[str, str, list[dict], list[str]]]:
-    panels = []
-    for panel, kind in (("a", "pdf"), ("b", "cdf")):
-        for mval in m_values:
-            d = MultiGauss(0.0, 1.0, mval)
-            xs = np.linspace(-5.0, 5.0, _GRID_1D)
-            rows = _curve_rows(d, kind, xs, _label_m(mval))
-            panels.append((panel, _label_m(mval), rows, ["x", "value", "series"]))
-    return panels
-
-
-def _fig_mu_sigma_sweep() -> list[tuple[str, str, list[dict], list[str]]]:
-    panels = []
-    for mu, sigma in FIGURE_MU_SIGMA:
-        d = MultiGauss(mu, sigma, 10.0)
-        xs = np.linspace(mu - 5 * sigma, mu + 5 * sigma, _GRID_1D)
-        label = f"mu={mu:g} sigma={sigma:g}"
-        rows = [{"x": float(x), "value": float(d.pdf(x)), "series": label} for x in xs]
-        panels.append(("a", label, rows, ["x", "value", "series"]))
-    return panels
-
-
-def _fig_lmg(m_values, with_cdf: bool) -> list[tuple[str, str, list[dict], list[str]]]:
-    panels = []
-    kinds = (("a", "pdf"), ("b", "cdf")) if with_cdf else (("a", "pdf"),)
-    for panel, kind in kinds:
-        for mval in m_values:
-            d = LogMultiGauss(0.0, 1.0, mval)
-            ys = np.exp(np.linspace(-5.0, 5.0, _GRID_1D))
-            rows = _curve_rows(d, kind, ys, _label_m(mval))
-            panels.append((panel, _label_m(mval), rows, ["x", "value", "series"]))
-    return panels
-
-
-def _fig_lmg_mu_sigma() -> list[tuple[str, str, list[dict], list[str]]]:
-    panels = []
-    for mu, sigma in FIGURE_MU_SIGMA:
-        d = LogMultiGauss(mu, sigma, 10.0)
-        ys = np.exp(np.linspace(mu - 5 * sigma, mu + 5 * sigma, _GRID_1D))
-        label = f"mu={mu:g} sigma={sigma:g}"
-        rows = [{"x": float(y), "value": float(d.pdf(y)), "series": label} for y in ys]
-        panels.append(("a", label, rows, ["x", "value", "series"]))
-    return panels
-
-
-def _fig_bivariate(cases) -> list[tuple[str, str, list[dict], list[str]]]:
-    panels = []
-    for idx, (mval, rho) in enumerate(cases):
-        p = BivariateParams(0.0, 0.0, 1.0, 1.0, rho)
-        mv = MvMultiGauss(p.mean(), p.covariance(), mval)
-        ax = np.linspace(-4.0, 4.0, _GRID_2D)
-        g1, g2 = np.meshgrid(ax, ax, indexing="ij")
-        vals = mv.pdf(np.stack([g1.ravel(), g2.ravel()], axis=1))
-        label = f"M={mval:g} rho={rho:g}"
-        rows = [{"x1": float(a), "x2": float(b), "value": float(v), "series": label}
-                for a, b, v in zip(g1.ravel(), g2.ravel(), vals)]
-        panels.append((chr(ord("a") + idx), label, rows, ["x1", "x2", "value", "series"]))
-    return panels
-
-
-FIGURES = {
-    1: lambda: _fig_univariate(FIGURE_M_SWEEP),
-    2: _fig_mu_sigma_sweep,
-    3: lambda: _fig_lmg(FIGURE_M_SWEEP, with_cdf=True),
-    4: _fig_lmg_mu_sigma,
-    5: lambda: _fig_bivariate(FIGURE_BIV),
-    6: lambda: _fig_univariate(FIGURE_FRACTIONAL_M),
-    7: lambda: _fig_lmg(FIGURE_FRACTIONAL_M, with_cdf=False),
-    8: lambda: _fig_bivariate(FIGURE_BIV_FRACTIONAL),
-}
+def _figure_tables(fig_id: int):
+    """Yield ``(panel, label, table)`` for every file of a figure preset."""
+    family, kinds, series = FIGURES[fig_id]
+    cases = [(label, argparse.Namespace(**{**_PARAM_DEFAULTS, **c})) for label, c in series]
+    cases = [(label, p, _build(family, p)) for label, p in cases]
+    for k, kind in enumerate(kinds):
+        for s, (label, p, d) in enumerate(cases):
+            if family == "mv":
+                ax = np.linspace(-4.0, 4.0, _GRID_2D)
+                yield chr(ord("a") + s), label, _surface(d, ax, ax, label)
+            else:
+                xs = np.linspace(p.mu - 5 * p.sigma, p.mu + 5 * p.sigma, _GRID_1D)
+                xs = np.exp(xs) if family == "lmg" else xs
+                yield chr(ord("a") + k), label, _curve(d, kind, xs, label)
 
 
 def cmd_figure(args) -> int:
     if args.id not in FIGURES:
         raise ValueError(f"unknown figure id {args.id}; choose 1..8")
-    import os
-
     os.makedirs(args.out_dir, exist_ok=True)
-    panels = FIGURES[args.id]()
-    ext = "json" if args.format == "json" else "csv"
-    written = []
-    for panel, label, rows, columns in panels:
-        name = f"fig{args.id}_{panel}_{_sanitize(label)}.{ext}"
-        path = f"{args.out_dir.rstrip('/')}/{name}"
-        _emit(rows, columns, args.format, path)
-        written.append(name)
-    sys.stderr.write(f"wrote {len(written)} files to {args.out_dir}\n")
+    written = 0
+    for panel, label, table in _figure_tables(args.id):
+        name = f"fig{args.id}_{panel}_{_sanitize(label)}.{args.format}"
+        _emit(table, args.format, out_path=os.path.join(args.out_dir, name))
+        written += 1
+    sys.stderr.write(f"wrote {written} files to {args.out_dir}\n")
     return EXIT_OK
 
 
@@ -353,9 +298,7 @@ def cmd_figure(args) -> int:
 def cmd_verify(args) -> int:
     reports = verify_mod.run_suite(args.suite)
     rows = [r.to_dict() for r in reports]
-    columns = ["target_name", "library_value", "oracle_value", "abs_err", "rel_err",
-               "passed", "notes"]
-    _emit(rows, columns, args.format, args.out)
+    _emit(_table(**{c: [r[c] for r in rows] for c in rows[0]}), args.format, out_path=args.out)
     n_failed = sum(1 for r in reports if not r.passed)
     sys.stderr.write(f"{len(reports) - n_failed}/{len(reports)} checks passed\n")
     return EXIT_OK if n_failed == 0 else EXIT_VERIFY_FAILED
@@ -366,14 +309,8 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mu", type=float, default=0.0, help="location parameter")
-    p.add_argument("--sigma", type=float, default=1.0, help="scale parameter")
-    p.add_argument("--m", type=float, default=1.0, help="shape parameter M > 0")
-    p.add_argument("--rho", type=float, default=0.0, help="bivariate correlation")
-    p.add_argument("--mu1", type=float, default=0.0)
-    p.add_argument("--mu2", type=float, default=0.0)
-    p.add_argument("--sigma1", type=float, default=1.0)
-    p.add_argument("--sigma2", type=float, default=1.0)
+    for name, default in _PARAM_DEFAULTS.items():
+        p.add_argument(f"--{name}", type=float, default=default, help=_PARAM_HELP.get(name))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -217,3 +217,26 @@ class TestNormalizationExitCodes:
         code, _, err = run(capsys, ["eval", "pdf", "mv", "--m", "55"])
         assert code == 3
         assert json.loads(err.splitlines()[0])["error"]["type"] == "series_not_converged"
+
+
+class TestNonFiniteAndGridBounds:
+    def test_non_finite_moment_exits_3(self, capsys):
+        code, out, err = run(capsys, ["eval", "moments", "mg", "--m", "2", "--sigma", "1e3",
+                                      "--k", "120"])
+        assert code == 3 and out == ""
+        payload = json.loads(err.splitlines()[0])
+        assert payload["error"]["type"] == "series_not_converged"
+        assert "non-finite output" in payload["error"]["message"]
+
+    @pytest.mark.parametrize("bound", [["--to", "inf"], ["--from", "nan"]])
+    def test_mv_grid_bounds_must_be_finite(self, capsys, bound):
+        import warnings
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, ["eval", "pdf", "mv", "--m", "2", *bound])
+        assert code == 2 and out == ""
+        assert not caught
+        payload = json.loads(err.splitlines()[0])
+        assert payload["error"]["type"] == "invalid_input"
+        assert "grid bounds must be finite" in payload["error"]["message"]

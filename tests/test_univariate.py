@@ -398,3 +398,42 @@ class TestThreadSafety:
         assert not any(t.is_alive() for t in threads)
         for got in results:
             assert got == want
+
+
+class TestTailSeriesStop:
+    """The far-tail series tests convergence every 8th term only."""
+
+    @staticmethod
+    def per_term(w, shape):
+        # the loop as it was with a convergence test after every term
+        g = np.exp(-np.asarray(w, dtype=float))
+        v = shape.value
+        cap = shape.int_value if shape.is_integer else 64
+        acc = np.full_like(g, v)
+        gm = np.ones_like(g)
+        b = v
+        for m in range(2, cap + 1):
+            b = b * (v - m + 1) / m
+            gm *= g
+            term = b * gm if m % 2 == 1 else -b * gm
+            acc += term
+            if np.all(np.abs(term) < 1e-22 * np.abs(acc)):
+                break
+        return acc
+
+    @pytest.mark.parametrize("m", [2, 3, 10, 40, 54, 1e-3, 0.025, 0.25, 0.5, 2.5, 12.3])
+    def test_same_bits_as_per_term_test(self, m):
+        from multigauss.univariate import ShapeParam, _profile_tail_series
+
+        shape = ShapeParam.of(m)
+        w_switch = max(4.0, math.log(max(m, 1.0)) + 4.0)
+        rng = np.random.default_rng(17)
+        ws = w_switch + np.concatenate([np.geomspace(1e-9, 1e4, 400),
+                                        rng.uniform(0.0, 20.0, 400)])
+        pieces = [ws] + [ws[i:i + 29] for i in range(0, ws.size, 29)] + [ws[::40]]
+        for w in pieces:
+            got = _profile_tail_series(w, shape)
+            want = self.per_term(w, shape)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for w in ws[::53]:  # one point at a time
+            assert _profile_tail_series(np.array([w]), shape)[0] == self.per_term([w], shape)[0]
