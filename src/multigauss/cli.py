@@ -99,11 +99,15 @@ def _orders(args, f, label: str) -> np.recarray:
 def _grid(args, default_lo: float, default_hi: float) -> np.ndarray:
     lo = args.from_ if args.from_ is not None else default_lo
     hi = args.to if args.to is not None else default_hi
+    return _axis(lo, hi, args.points)
+
+
+def _axis(lo: float, hi: float, points: int) -> np.ndarray:
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"grid bounds must be finite with from < to, got ({lo}, {hi})")
-    if args.points < 2:
+    if points < 2:
         raise ValueError("curve output needs at least 2 grid points")
-    return np.linspace(lo, hi, args.points)
+    return np.linspace(lo, hi, points)
 
 
 def _build(family: str, p):
@@ -177,7 +181,7 @@ def _eval_lmg(args, d: LogMultiGauss, label: str) -> np.recarray:
 
 def _eval_mv(args, mv: MvMultiGauss, label: str) -> np.recarray:
     x1 = _grid(args, args.mu1 - 4 * args.sigma1, args.mu1 + 4 * args.sigma1)
-    x2 = np.linspace(args.mu2 - 4 * args.sigma2, args.mu2 + 4 * args.sigma2, args.points)
+    x2 = _axis(args.mu2 - 4 * args.sigma2, args.mu2 + 4 * args.sigma2, args.points)
     return _surface(mv, x1, x2, label)
 
 

@@ -18,43 +18,29 @@ of ``Sigma``, ``D`` uniform on the unit sphere and the radius ``R = sqrt(Q)``
 independent of ``D`` with density proportional to ``r^(N-1) [1 - (1 -
 e^(-r^2/2))^M]`` (Cambanis, Huang & Simons 1981).  The radial CDF comes from
 the same panel table as the univariate CDF, built with dimension ``N``; it
-gives the ellipsoid mass ``P(Q <= q)`` and, inverted through a PCHIP table,
-an exact sampler without rejection.  The full multivariate CDF over
-rectangles has no tractable form and is not provided; marginals of this
-family are not members of the family, so no marginal objects exist either.
+gives the ellipsoid mass ``P(Q <= q)``, and the radial inverse shared with
+the univariate sampler and quantile turns it into an exact sampler without
+rejection.  The full multivariate CDF over rectangles has no tractable form
+and is not provided; marginals of this family are not members of the
+family, so no marginal objects exist either.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.interpolate import PchipInterpolator
 from scipy.linalg import solve_triangular
-from scipy.special import ndtri as _ndtri
 
 from .series import (DEFAULT_POLICY, ShapeParam, TruncationPolicy, check_normalization,
                      series_s)
-from .univariate import _CDF_BAND, _CDF_REACH, _CdfTable, mg_profile
+from .univariate import _CdfTable, _RadialInverse, _gaussian, _radial_draw, mg_profile
 
 __all__ = ["MvMultiGauss", "BivariateParams", "bivariate_pdf"]
 
 _TWO_PI = 2.0 * math.pi
-_SQRT_2PI = math.sqrt(_TWO_PI)
-
-#: Nodes of the radial sampler's inverse table.
-_SAMPLER_NODES = 801
-
-#: Largest |score| the radial sampler's table reaches: a float generator's
-#: uniforms lie within [2^-53, 1 - 2^-53], whose scores are below 8.3.
-_SCORE_REACH = 8.5
-
-#: Coarse radii at which the radial score is computed once per object to
-#: place the sampler's nodes: geometric up to the mode band (the lower tail
-#: is a power law in r), then steps of 0.25 out to the table's reach.
-_RADIUS_CANDIDATES = np.concatenate((np.geomspace(1e-30, _CDF_BAND, 100, endpoint=False),
-                                     np.arange(_CDF_BAND, _CDF_REACH, 0.25)))
 
 
 @dataclass(frozen=True)
@@ -134,8 +120,6 @@ class MvMultiGauss:
             raise ValueError(f"normalization failed for M={self._shape.value}, N={n}")
         self._norm_result = res
         self._log_det_half = float(np.sum(np.log(np.diag(chol))))
-        self._radial_cache = None
-        self._sampler_cache = None
         for arr in (self._mean, self._cov, self._chol):
             arr.setflags(write=False)
 
@@ -188,7 +172,8 @@ class MvMultiGauss:
         pts = np.atleast_2d(x)
         if pts.shape[1] != self.dim:
             raise ValueError(f"points must have dimension {self.dim}, got {pts.shape[1]}")
-        z = solve_triangular(self._chol, (pts - self._mean).T, lower=True)
+        # unchecked, so a row holding a NaN gives nan and leaves the other rows alone
+        z = solve_triangular(self._chol, (pts - self._mean).T, lower=True, check_finite=False)
         q = np.sum(z * z, axis=0)
         if single:
             return float(q[0])
@@ -217,7 +202,7 @@ class MvMultiGauss:
         flat = np.atleast_1d(q).ravel()
         with np.errstate(invalid="ignore"):
             r = np.sqrt(np.maximum(flat, 0.0))
-        table = self._radial_table()
+        table = self._radial_table
         out = table.below(r)
         upper = out > 0.5
         out[upper] = 1.0 - table.above(r[upper])
@@ -229,87 +214,22 @@ class MvMultiGauss:
 
         The law is elliptical: ``X = mean + L (R D)`` with ``L`` the Cholesky
         factor, ``D = Z/|Z|`` uniform on the sphere and the radius ``R``
-        drawn by inverse-CDF sampling of its radial law.  One block of
-        standard normals gives the directions, then one block of uniforms
-        the radii.  At ``M = 1`` the output is exactly the Gaussian stream
+        drawn by inverse-CDF sampling of its radial law, by the same radial
+        inverse and draw as the univariate sampler.  One block of standard
+        normals gives the directions, then one block of uniforms the radii.
+        At ``M = 1`` the output is exactly the Gaussian stream
         ``mean + Z L^T``.  Identical generator state yields identical output.
         """
-        if not (isinstance(n, (int, np.integer)) and n >= 1):
-            raise ValueError(f"n must be a positive integer, got {n!r}")
-        if not isinstance(rng, np.random.Generator):
-            raise TypeError("rng must be a numpy.random.Generator")
-        n = int(n)
-        z = rng.standard_normal((n, self.dim))
-        if self._shape.is_integer and self._shape.int_value == 1:
-            return self._mean + z @ self._chol.T
-        norm = np.sqrt(np.einsum("ij,ij->i", z, z))
-        z[norm == 0.0, 0] = 1.0  # a zero direction (probability ~0) becomes e_1
-        norm[norm == 0.0] = 1.0
-        with np.errstate(divide="ignore"):
-            radius = self._radius_at(_ndtri(rng.random(n)))
-        z *= (radius / norm)[:, None]
-        out = z @ self._chol.T
-        out += self._mean
-        return out
+        inverse = None if _gaussian(self._shape) else self._inverse
+        return _radial_draw(n, rng, self.dim, inverse) @ self._chol.T + self._mean
 
-    def _radius_at(self, score: np.ndarray) -> np.ndarray:
-        """Radius at each Gaussian score (clipped to the grid), by the PCHIP table.
-
-        The grid is uniform, so the cubic piece holding each score is found
-        by arithmetic rather than by binary search.
-        """
-        grid, coeffs = self._radial_sampler()
-        score = np.clip(score, grid[0], grid[-1])
-        k = ((score - grid[0]) * ((grid.size - 1) / (grid[-1] - grid[0]))).astype(np.intp)
-        np.minimum(k, grid.size - 2, out=k)
-        t = score - grid[k]
-        return ((coeffs[0, k] * t + coeffs[1, k]) * t + coeffs[2, k]) * t + coeffs[3, k]
-
+    @cached_property
     def _radial_table(self) -> _CdfTable:
-        table = self._radial_cache
-        if table is None:
-            table = _CdfTable(self._shape, self.dim)
-            self._radial_cache = table  # one assignment publishes a complete table
-        return table
+        return _CdfTable(self._shape, self.dim)
 
-    def _radial_sampler(self):
-        """Inverse of the radial CDF: a uniform grid of Gaussian scores and the
-        coefficients of the PCHIP interpolant of ``r`` on it.
-
-        The score is ``ndtri(P(R <= r))`` below the median and
-        ``-ndtri(P(R > r))`` above it, so both tails keep their relative
-        precision.  The grid has `_SAMPLER_NODES` points over ``|score| <=
-        8.5`` (beyond every uniform a float generator yields).  A coarse pass
-        over `_RADIUS_CANDIDATES` gives each grid score a first radius, and
-        two Newton steps in ``log r`` move it onto the score.
-        """
-        sampler = self._sampler_cache
-        if sampler is None:
-            table = self._radial_table()
-            sc = _radial_score(table, _RADIUS_CANDIDATES)
-            keep = np.isfinite(sc)
-            sc, log_rc = sc[keep], np.log(_RADIUS_CANDIDATES[keep])
-            grid = np.linspace(max(sc[0], -_SCORE_REACH), min(sc[-1], _SCORE_REACH),
-                               _SAMPLER_NODES)
-            log_r = np.interp(grid, sc, log_rc)
-            for _ in range(2):
-                r = np.exp(log_r)
-                s = _radial_score(table, r)
-                # d score / d log r = r density(r) / phi(score)
-                log_r -= (s - grid) * np.exp(-0.5 * s * s) / (_SQRT_2PI * r * table.density(r))
-            sampler = (grid, PchipInterpolator(grid, np.exp(log_r)).c)
-            self._sampler_cache = sampler  # one assignment publishes it
-        return sampler
-
-
-def _radial_score(table: _CdfTable, r: np.ndarray) -> np.ndarray:
-    """Gaussian score of the radial CDF at ``r``, from whichever tail is smaller."""
-    below = table.below(r)
-    upper = below > 0.5
-    with np.errstate(divide="ignore"):
-        score = _ndtri(below)
-        score[upper] = -_ndtri(table.above(r[upper]))
-    return score
+    @cached_property
+    def _inverse(self) -> _RadialInverse:
+        return _RadialInverse(self._radial_table)
 
 
 def _bivariate_norm(shape: ShapeParam, policy: TruncationPolicy) -> float:

@@ -19,11 +19,17 @@ absorbs the cusp of fractional shapes, then Gauss-Legendre panels out to 40
 sigma, with the tail masses accumulated from infinity inward), and a CDF
 value is the tabulated mass beyond the next panel edge plus one fixed
 Gauss-Legendre rule up to that edge, vectorized over any array of points.
+
+The law is the case N = 1 of the elliptical family, ``X = mu + sigma sign
+R`` with ``R = |U|`` (Cambanis, Huang & Simons 1981).  One radial inverse
+of the table (`_RadialInverse`) serves the quantile and, through
+`_radial_draw`, the samplers of both families.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -119,6 +125,11 @@ def _profile_tail_series(w, shape: ShapeParam) -> np.ndarray:
     return acc
 
 
+def _gaussian(shape: ShapeParam) -> bool:
+    """Whether the shape is ``M = 1``, the Gaussian itself."""
+    return shape.is_integer and shape.int_value == 1
+
+
 def mg_profile(w, m_shape):
     """Peak-relative density profile ``1 - (1 - e^-w)^M`` for ``w >= 0``.
 
@@ -131,7 +142,7 @@ def mg_profile(w, m_shape):
     shape = ShapeParam.of(m_shape)
     w = np.asarray(w, dtype=float)
     scalar = w.ndim == 0
-    if shape.is_integer and shape.int_value == 1:
+    if _gaussian(shape):
         out = np.exp(-w)
         return float(out) if scalar else out
     t = -np.expm1(-w)  # 1 - e^-w, exact near 0
@@ -266,6 +277,103 @@ class _CdfTable:
             * scale)
 
 
+#: Nodes of the radial inverse: radii on a uniform grid of Gaussian scores.
+_INVERSE_NODES = 801
+
+#: Largest |score| the radial inverse's grid reaches: a float generator's
+#: uniforms lie within [2^-53, 1 - 2^-53], whose scores are below 8.3.
+_SCORE_REACH = 8.5
+
+#: Coarse radii at which the radial score is computed once per inverse to
+#: place its nodes: geometric up to the mode band (the lower tail is a power
+#: law in r), then steps of 0.25 out to the table's reach.
+_RADIUS_CANDIDATES = np.concatenate((np.geomspace(1e-30, _CDF_BAND, 100, endpoint=False),
+                                     np.arange(_CDF_BAND, _CDF_REACH, 0.25)))
+
+
+def _radial_score(table: _CdfTable, r: np.ndarray) -> np.ndarray:
+    """Gaussian score of the radial CDF at ``r``, from whichever tail is smaller."""
+    below = table.below(r)
+    upper = below > 0.5
+    with np.errstate(divide="ignore"):
+        score = _ndtri(below)
+        score[upper] = -_ndtri(table.above(r[upper]))
+    return score
+
+
+def _score_step(table: _CdfTable, log_r: np.ndarray, score: np.ndarray) -> np.ndarray:
+    """Newton step in ``log r`` from the radial score at ``r`` to ``score``.
+
+    Subtract it from ``log r``: ``d score / d log r = r density(r) / phi(score)``.
+    """
+    r = np.exp(log_r)
+    s = _radial_score(table, r)
+    return (s - score) * np.exp(-0.5 * s * s) / (_SQRT_2PI * r * table.density(r))
+
+
+class _RadialInverse:
+    """Inverse of a table's radial CDF: the radius at a Gaussian score.
+
+    The score is ``ndtri(P(R <= r))`` below the median and
+    ``-ndtri(P(R > r))`` above it, so both tails keep their relative
+    precision.  The inverse is the PCHIP interpolant of ``r`` on a uniform
+    grid of `_INVERSE_NODES` scores over ``|score| <= 8.5``.  A coarse pass
+    over `_RADIUS_CANDIDATES` gives each grid score a first radius, and two
+    Newton steps (`_score_step`) move it onto the score.  Immutable.
+    """
+
+    def __init__(self, table: _CdfTable):
+        sc = _radial_score(table, _RADIUS_CANDIDATES)
+        keep = np.isfinite(sc)
+        sc, log_rc = sc[keep], np.log(_RADIUS_CANDIDATES[keep])
+        grid = np.linspace(max(sc[0], -_SCORE_REACH), min(sc[-1], _SCORE_REACH),
+                           _INVERSE_NODES)
+        log_r = np.interp(grid, sc, log_rc)
+        for _ in range(2):
+            log_r -= _score_step(table, log_r, grid)
+        self.grid = grid
+        self._coeffs = PchipInterpolator(grid, np.exp(log_r)).c
+
+    def radius(self, score: np.ndarray) -> np.ndarray:
+        """Radius at each Gaussian score, clipped to the grid.
+
+        The grid is uniform, so the cubic piece holding each score is found
+        by arithmetic rather than by binary search.
+        """
+        grid, coeffs = self.grid, self._coeffs
+        score = np.clip(score, grid[0], grid[-1])
+        k = ((score - grid[0]) * ((grid.size - 1) / (grid[-1] - grid[0]))).astype(np.intp)
+        np.minimum(k, grid.size - 2, out=k)
+        t = score - grid[k]
+        return ((coeffs[0, k] * t + coeffs[1, k]) * t + coeffs[2, k]) * t + coeffs[3, k]
+
+
+def _radial_draw(n: int, rng, dim: int, inverse: _RadialInverse | None) -> np.ndarray:
+    """``n`` standardized points ``R D`` of a radial law, shape ``(n, dim)``.
+
+    ``D = Z/|Z|`` is uniform on the sphere and ``R`` is drawn by inverse-CDF
+    sampling: one block of standard normals gives the directions, then one
+    block of uniforms the radii.  ``inverse`` is the law's `_RadialInverse`,
+    or ``None`` for the Gaussian shape ``M = 1``, whose points are the
+    standard normals themselves.
+    """
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError("rng must be a numpy.random.Generator")
+    n = int(n)
+    z = rng.standard_normal((n, dim))
+    if inverse is None:
+        return z
+    norm = np.sqrt(np.einsum("ij,ij->i", z, z))
+    z[norm == 0.0, 0] = 1.0  # a zero direction (probability ~0) becomes e_1
+    norm[norm == 0.0] = 1.0
+    with np.errstate(divide="ignore"):
+        radius = inverse.radius(_ndtri(rng.random(n)))
+    z *= (radius / norm)[:, None]
+    return z
+
+
 def _gauss_raw_moment_poly(k: int, mu: float):
     """Coefficients ``a_j`` with ``E[X^k] = sum_j a_j s^j`` for X ~ N(mu, s).
 
@@ -289,9 +397,10 @@ def _gauss_raw_moment_poly(k: int, mu: float):
 class MultiGauss:
     """Symmetric distribution with location ``mu``, scale ``sigma``, shape ``M``.
 
-    Immutable after construction; the normalization constant and the first
-    four moment-coefficient ratios are precomputed.  All evaluation methods
-    are safe for concurrent use; `sample` requires a caller-owned
+    Immutable after construction, which computes the normalization
+    constant; the moment ratios, the CDF table and the radial inverse are
+    built on first use, each published by one assignment.  All evaluation
+    methods are safe for concurrent use; `sample` requires a caller-owned
     ``numpy.random.Generator`` that must not be shared between threads.
     """
 
@@ -309,6 +418,9 @@ class MultiGauss:
         if not isinstance(self._policy, TruncationPolicy):
             raise TypeError("policy must be a TruncationPolicy")
         self._c0_result = series_s(0.5, self._shape, self._policy)
+        if self._c0_result.truncation_flag is TruncationFlag.CAP_HIT:
+            raise SeriesNotConverged(f"S(1/2) did not converge for M={self._shape.value} "
+                                     f"(condition number {self._c0_result.condition_number:.3g})")
         # M = 55..57 still pass as exact here although their c0 is off by up
         # to 2.8e-2 (a known fault, listed in ROADMAP.md)
         check_normalization(self._c0_result, self._shape, "normalization", exact_limit=57)
@@ -316,11 +428,8 @@ class MultiGauss:
             raise ValueError(
                 f"normalization constant is not positive/finite for M={self._shape.value}"
             )
-        self._xi = tuple(xi_coeff(n, self._shape, self._policy) for n in range(1, 5))
-        self._xi_extra: dict[int, float] = {}
+        self._xi: dict[int, float] = {}
         self._coeff_cache = signed_coeffs(self._shape, self._policy.max_terms)
-        self._cdf_cache = None
-        self._inverse_table = None
 
     # -- parameters ---------------------------------------------------------
 
@@ -354,11 +463,9 @@ class MultiGauss:
         """Moment coefficient ratio ``xi_n = S(n+1/2; M) / S(1/2; M)``."""
         if n == 0:
             return 1.0
-        if 1 <= n <= 4:
-            return self._xi[n - 1]
-        if n not in self._xi_extra:
-            self._xi_extra[n] = xi_coeff(n, self._shape, self._policy)
-        return self._xi_extra[n]
+        if n not in self._xi:
+            self._xi[n] = xi_coeff(n, self._shape, self._policy)
+        return self._xi[n]
 
     def __repr__(self) -> str:
         return f"MultiGauss(mu={self._mu:g}, sigma={self._sigma:g}, m={self._shape.value:g})"
@@ -458,17 +565,18 @@ class MultiGauss:
         x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             u = np.atleast_1d((x - self._mu) / self._sigma)
-        lower = self._cdf_table().lower_tail(np.abs(u).ravel()).reshape(u.shape)
+        lower = self._cdf_table.lower_tail(np.abs(u).ravel()).reshape(u.shape)
         out = np.where(u < 0.0, lower, 1.0 - lower)
         out[np.isnan(u)] = np.nan
         return float(out[0]) if x.ndim == 0 else out
 
+    @cached_property
     def _cdf_table(self) -> _CdfTable:
-        table = self._cdf_cache
-        if table is None:
-            table = _CdfTable(self._shape)
-            self._cdf_cache = table  # one assignment publishes a complete table
-        return table
+        return _CdfTable(self._shape)
+
+    @cached_property
+    def _inverse(self) -> _RadialInverse:
+        return _RadialInverse(self._cdf_table)
 
     def _signed_coeffs(self, n: int) -> np.ndarray:
         # read the cache once: another thread may replace it meanwhile
@@ -606,9 +714,13 @@ class MultiGauss:
         """Inverse CDF: the ``x`` with ``|cdf(x) - u| <= 1e-12``, for a scalar
         or an array of levels ``u`` strictly inside (0, 1).
 
-        Bracket expansion around the mode, bisection, then Newton polish
-        with the density as derivative; every step is one array call over
-        the levels still in play.  A scalar level gives a ``float``.
+        ``x = mu -+ sigma r`` with ``P(|U| > r) = 2 min(u, 1 - u)``: the
+        radial inverse gives ``r`` at that tail's Gaussian score (beyond its
+        grid ``r^2 - score^2`` keeps its value at the grid's end), and the
+        Newton step in ``log r`` that places the inverse's nodes polishes it,
+        so the tails keep their relative precision down to ~1e-305.  Each
+        level is solved on its own: a scalar gives the array's bits, as a
+        ``float``.
         """
         levels = np.asarray(u, dtype=float)
         p = levels.ravel()
@@ -616,77 +728,38 @@ class MultiGauss:
         if bad.any():
             raise ValueError(
                 f"quantile level must lie strictly in (0, 1), got {float(p[bad][0])!r}")
-        mu = self._mu
-        lo = np.full_like(p, mu - self._sigma)
-        hi = np.full_like(p, mu + self._sigma)
-        for end, outside in ((lo, np.greater), (hi, np.less)):
-            half = np.full_like(p, self._sigma)
-            todo = np.arange(p.size)
-            for _ in range(64):
-                todo = todo[outside(self.cdf(end[todo]), p[todo])]
-                if todo.size == 0:
-                    break
-                half[todo] *= 2.0
-                end[todo] = mu + np.copysign(half[todo], end[todo] - mu)
-        x = 0.5 * (lo + hi)
-        for _ in range(28):
-            below = self.cdf(x) < p
-            lo = np.where(below, x, lo)
-            hi = np.where(below, hi, x)
-            x = 0.5 * (lo + hi)
-        # Newton polish; fall back to bisection when it leaves the bracket
-        todo = np.arange(p.size)
-        for _ in range(40):
-            xt, pt = x[todo], p[todo]
-            f = self.cdf(xt)
-            err = f - pt
-            lo_t = np.where(f < pt, np.maximum(lo[todo], xt), lo[todo])
-            hi_t = np.where(f < pt, hi[todo], np.minimum(hi[todo], xt))
-            dens = self.pdf(xt)
-            step_ok = (dens > 0.0) & np.isfinite(dens)
-            mid = 0.5 * (lo_t + hi_t)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                x_new = np.where(step_ok, xt - err / dens, mid)
-            x_new = np.where((lo_t <= x_new) & (x_new <= hi_t), x_new, mid)
-            done = np.abs(err) <= 1e-13
-            lo[todo], hi[todo] = lo_t, hi_t
-            x[todo] = np.where(done, xt, x_new)
-            todo = todo[~done & (x_new != xt)]
+        inverse = self._inverse
+        with np.errstate(divide="ignore"):
+            score = -_ndtri(2.0 * np.minimum(p, 1.0 - p))  # -inf at the median
+        r = inverse.radius(score)
+        top = inverse.grid[-1:]
+        far = score > top
+        r[far] = np.sqrt(score[far] ** 2 + (inverse.radius(top) ** 2 - top * top))
+        log_r = np.log(r)
+        log_reach = math.log(_CDF_REACH)
+        todo = np.flatnonzero(p != 0.5)
+        for _ in range(8):  # from the inverse's start three steps reach full precision
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                step = _score_step(self._cdf_table, log_r[todo], score[todo])
+            moving = np.isfinite(step)  # beyond the table's reach the score is infinite
+            todo, step = todo[moving], step[moving]
+            log_r[todo] = np.minimum(log_r[todo] - step, log_reach)
+            todo = todo[np.abs(step) > 1e-9]
             if todo.size == 0:
                 break
-        x[p == 0.5] = mu
+        x = self._mu + self._sigma * np.copysign(np.exp(log_r), p - 0.5)
+        x[p == 0.5] = self._mu
         return float(x[0]) if levels.ndim == 0 else x.reshape(levels.shape)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``n`` variates by inverse-CDF sampling.
+        """Draw ``n`` variates ``mu + sigma sign R`` by inverse-CDF sampling.
 
-        Each variate is the quantile of an independent uniform; for speed the
-        quantile function is represented by a monotone PCHIP interpolant of
-        ``x`` against the Gaussian-score parameterization ``z = ndtri(cdf(x))``
-        (801 nodes, interpolation error below ~1e-6 sigma, far inside every
-        statistical tolerance).  Identical generator state yields identical
-        output.
+        The sign is that of a standard normal and the radius ``R = |U|``
+        comes from the radial inverse at the Gaussian score of a uniform
+        (interpolation error below ~1e-6 sigma, far inside every statistical
+        tolerance): the one-dimensional case of the multivariate sampler.  At
+        ``M = 1`` the output is exactly ``mu + sigma Z``.  Identical generator
+        state yields identical output.
         """
-        if not (isinstance(n, (int, np.integer)) and n >= 1):
-            raise ValueError(f"n must be a positive integer, got {n!r}")
-        if not isinstance(rng, np.random.Generator):
-            raise TypeError("rng must be a numpy.random.Generator")
-        interp, z_lo, z_hi = self._quantile_table()
-        u = rng.random(int(n))
-        with np.errstate(divide="ignore"):
-            z = _ndtri(u)
-        np.clip(z, z_lo, z_hi, out=z)
-        return interp(z)
-
-    def _quantile_table(self):
-        if self._inverse_table is None:
-            reach = 7.6 + math.sqrt(2.0 * math.log(max(self._shape.value, 1.0))) + 0.5
-            xs = self._mu + self._sigma * np.linspace(-reach, reach, 801)
-            fs = self.cdf(xs)
-            keep = (fs > 1e-300) & (fs < 1.0 - 1e-16)
-            xs, fs = xs[keep], fs[keep]
-            zs = _ndtri(fs)
-            inc = np.concatenate(([True], np.diff(zs) > 0.0))
-            xs, zs = xs[inc], zs[inc]
-            self._inverse_table = (PchipInterpolator(zs, xs), zs[0], zs[-1])
-        return self._inverse_table
+        points = _radial_draw(n, rng, 1, None if _gaussian(self._shape) else self._inverse)
+        return self._mu + self._sigma * points[:, 0]

@@ -405,7 +405,7 @@ def mv_reports() -> list[OracleReport]:
         rep = OracleReport(
             f"mv/sampler chi^2 (M={mval}, n=1e5)", chi2, crit,
             notes=f"seed {SEED_MV}; passes when chi2 <= critical value (alpha=0.01)")
-        rep.passed = chi2 <= crit
+        rep.passed = bool(chi2 <= crit)
         reports.append(rep)
     # radial law of the sampler in N = 3
     for mval in (40, 1.0 / 40.0):

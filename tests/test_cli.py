@@ -240,3 +240,11 @@ class TestNonFiniteAndGridBounds:
         payload = json.loads(err.splitlines()[0])
         assert payload["error"]["type"] == "invalid_input"
         assert "grid bounds must be finite" in payload["error"]["message"]
+
+    def test_mv_x2_axis_is_checked(self, capsys):
+        code, out, err = run(capsys, ["eval", "pdf", "mv", "--m", "2", "--points", "3",
+                                      "--mu2=1.7e308", "--sigma2=1e150"])
+        assert code == 2 and out == ""
+        payload = json.loads(err.splitlines()[0])
+        assert payload["error"]["type"] == "invalid_input"
+        assert "grid bounds must be finite with from < to" in payload["error"]["message"]

@@ -1,4 +1,4 @@
-"""Tests for the multivariate density and rejection sampler."""
+"""Tests for the multivariate density and its radial sampler."""
 
 import math
 
@@ -74,6 +74,15 @@ class TestPdf:
         for x in (-3.0, 0.1, 0.5, 2.2, 6.0):
             assert mv.pdf([x]) == pytest.approx(float(d.pdf(x)), rel=1e-15, abs=1e-300)
 
+    def test_nan_row_gives_nan_and_keeps_the_others(self):
+        mv = MvMultiGauss([0, 0], [[1.0, 0.3], [0.3, 2.0]], 2.5)
+        pts = np.array([[0.0, 0.0], [np.nan, 1.0], [1.0, -1.0]])
+        out = mv.pdf(pts)
+        assert math.isnan(out[1])
+        assert out[0] == mv.pdf(pts[0]) and out[2] == mv.pdf(pts[2])
+        assert math.isnan(mv.pdf([1.0, np.nan]))
+        assert math.isnan(float(MultiGauss(0.0, 1.0, 2.5).pdf(np.nan)))
+
     def test_batch_matches_scalar(self):
         mv = MvMultiGauss([0, 0], [[1.0, 0.3], [0.3, 2.0]], 2.5)
         pts = np.array([[0.0, 0.0], [1.0, -1.0], [2.0, 3.0]])
@@ -142,8 +151,7 @@ class TestBivariateClosedForm:
 
 class TestSampler:
     def test_gaussian_passthrough(self):
-        # at M = 1 the acceptance probability is identically one and the
-        # output is exactly the Gaussian proposal stream
+        # at M = 1 the output is exactly the Gaussian stream mean + Z L^T
         cov = np.array([[1.0, 0.3], [0.3, 2.0]])
         mv = MvMultiGauss([1.0, -1.0], cov, 1)
         out = mv.sample(500, np.random.default_rng(21))
@@ -167,16 +175,14 @@ class TestSampler:
         expect = series_s(2.0, 10).value / series_s(1.0, 10).value
         assert pts.var(axis=0) == pytest.approx(expect, rel=0.05)
 
-    def test_acceptance_rate_scaling(self):
-        # expected acceptance is S(N/2; M)/M for M >= 1
+    def test_flat_top_draws_have_the_requested_shape(self):
         mv = MvMultiGauss([0, 0], np.eye(2), 40)
         rng = np.random.default_rng(7)
         n = 50_000
         out = mv.sample(n, rng)
         assert out.shape == (n, 2)
 
-    def test_cusped_shape_envelope(self):
-        # for M < 1 the envelope constant is 1; sampler must still be exact
+    def test_cusped_shape_marginal_variance(self):
         mv = MvMultiGauss([0, 0], np.eye(2), 0.5)
         pts = mv.sample(50_000, np.random.default_rng(9))
         from multigauss import series_s

@@ -15,11 +15,10 @@ import pytest
 from scipy.special import roots_jacobi
 
 from multigauss import MvMultiGauss, SeriesNotConverged
-from multigauss.multivariate import _radial_score
 from multigauss.series import ShapeParam
 from multigauss.univariate import (
     _CDF_BAND, _CDF_EDGES, _CDF_REACH, _GJ_ORDER, _GL_NODES, _GL_WEIGHTS, _CdfTable,
-    mg_profile,
+    _RadialInverse, _radial_score, mg_profile,
 )
 
 SHAPES = (1e-3, 0.025, 0.5, 1, 2.5, 10, 40, 54)
@@ -60,7 +59,7 @@ def test_ellipsoid_mass_matches_mpmath(mval, dim):
     mass = mv.ellipsoid_mass(np.array(QS))
     assert np.max(np.abs(mass - below)) <= 1e-14
     # the table's upper tail keeps its relative precision out to q = 40 ...
-    tail = mv._radial_table().above(np.sqrt(QS))
+    tail = mv._radial_table.above(np.sqrt(QS))
     assert np.max(np.abs(tail / above - 1.0)) <= 1e-10
     # ... and 1 - mass is that tail up to the float spacing below 1
     above = np.array(above)
@@ -120,19 +119,18 @@ def test_unit_dimension_table_keeps_its_bits(mval):
     np.testing.assert_array_equal(got, _unit_table_lower_tail(shape, au))
 
 
-@pytest.mark.parametrize("mval,dim", [(0.025, 2), (2.5, 3), (40, 5)])
+@pytest.mark.parametrize("mval,dim", [(0.025, 2), (2.5, 3), (40, 5), (0.5, 1), (40, 1)])
 def test_inverse_table_matches_bisection(mval, dim):
-    mv = MvMultiGauss(np.zeros(dim), np.eye(dim), mval)
-    grid, _ = mv._radial_sampler()
-    assert grid[0] <= -8.3 and grid[-1] >= 8.3
+    table = _CdfTable(ShapeParam.of(mval), dim)
+    inverse = _RadialInverse(table)
+    assert inverse.grid[0] <= -8.3 and inverse.grid[-1] >= 8.3
     scores = np.random.default_rng(11).uniform(-8.3, 8.3, 1000)
     lo, hi = np.zeros_like(scores), np.full_like(scores, _CDF_REACH)
-    table = mv._radial_table()
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         below = _radial_score(table, mid) < scores
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    assert np.max(np.abs(mv._radius_at(scores) - 0.5 * (lo + hi))) <= 1e-6
+    assert np.max(np.abs(inverse.radius(scores) - 0.5 * (lo + hi))) <= 1e-6
 
 
 def _dkw(n, delta):

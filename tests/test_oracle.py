@@ -146,3 +146,9 @@ class TestOracleReport:
         d = OracleReport("t", 1.0, 2.0, abs_tol=10.0, notes="n").to_dict()
         assert set(d) == {"target_name", "library_value", "oracle_value", "abs_err",
                           "rel_err", "passed", "notes"}
+
+    def test_mv_suite_reports_plain_bools(self):
+        from multigauss.verify import run_suite
+
+        reports = run_suite("mv")
+        assert reports and all(type(r.passed) is bool for r in reports)

@@ -1,0 +1,130 @@
+"""One radial inverse behind the univariate quantile and both samplers.
+
+The univariate law is the N = 1 case of the elliptical family,
+``X = mu + sigma sign R``, so the quantile and the sampler of `MultiGauss`
+use the radial inverse of the multivariate sampler.  The sampler of
+``0 < M < 1`` is also checked against an oracle that shares no code with
+the CDF table: the exact Gaussian scale mixture of that range.
+"""
+
+import math
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from multigauss import LogMultiGauss, MultiGauss, MvMultiGauss
+
+SHAPES = (1, 2, 10, 40, 54, 0.025, 0.5, 2.5, 12.3, 1e-3)
+
+#: Levels from the far lower tail to the far upper tail: the CLI's grid, a
+#: log grid down to 1e-305, levels next to 1 and next to the median.
+LEVELS = np.concatenate((
+    np.linspace(0.01, 0.99, 41),
+    np.logspace(-305.0, math.log10(0.4999), 120),
+    1.0 - np.logspace(-16.0, -1.0, 30),
+    0.5 + np.array([-2.0**-54, 2.0**-53, -1e-12, 1e-12, -1e-6, 1e-6]),
+))
+
+
+@pytest.mark.parametrize("mval", SHAPES)
+def test_quantile_meets_its_contract(mval):
+    d = MultiGauss(0.3, 1.7, mval)
+    x = d.quantile(LEVELS)
+    cdf = d.cdf(x)
+    assert np.all(np.isfinite(x))
+    assert np.all(np.diff(x[np.argsort(LEVELS)]) >= 0.0)
+    assert np.max(np.abs(cdf - LEVELS)) <= 1e-12
+    # the lower tail keeps its relative precision down to 1e-305 ...
+    low = LEVELS < 1e-3
+    assert np.max(np.abs(cdf[low] / LEVELS[low] - 1.0)) <= 2e-12
+    # ... and so does the upper tail up to 1 - 1e-16
+    high = LEVELS > 0.999
+    assert np.max(np.abs((1.0 - cdf[high]) / (1.0 - LEVELS[high]) - 1.0)) <= 1e-12
+    assert d.quantile(0.5) == 0.3
+    for i in (0, 50, 100, 170, 196):
+        got = d.quantile(float(LEVELS[i]))
+        assert type(got) is float and got == x[i]
+
+
+@pytest.mark.parametrize("mval", (1, 54, 0.025))
+def test_quantile_stays_finite_below_the_normal_range(mval):
+    d = MultiGauss(0.0, 1.0, mval)
+    levels = np.array([1e-306, 1e-308, 1e-310, 1e-315, 1e-320, 5e-324])
+    x = d.quantile(levels)
+    assert np.all(np.isfinite(x)) and np.all(x < -37.0)
+    assert np.max(d.cdf(x)) <= 1e-300
+
+
+@pytest.mark.parametrize("mval", (1, 0.025, 2.5, 40))
+def test_univariate_sampler_is_the_one_dimensional_radial_sampler(mval):
+    got = MultiGauss(-2.0, 3.0, mval).sample(5000, np.random.default_rng(5))
+    points = MvMultiGauss([0.0], [[1.0]], mval).sample(5000, np.random.default_rng(5))
+    np.testing.assert_array_equal(got, -2.0 + 3.0 * points[:, 0])
+    lmg = LogMultiGauss(-2.0, 3.0, mval).sample(5000, np.random.default_rng(5))
+    np.testing.assert_array_equal(lmg, np.exp(got))
+
+
+def test_threads_sharing_one_object_match_one_thread():
+    d = MultiGauss(0.5, 2.0, 2.5)
+    levels = np.linspace(0.01, 0.99, 41)
+    want_q = MultiGauss(0.5, 2.0, 2.5).quantile(levels)
+    want = [MultiGauss(0.5, 2.0, 2.5).sample(5000, np.random.default_rng(s)) for s in range(8)]
+    got = [None] * 8
+    start = threading.Barrier(8)
+
+    def work(i):
+        start.wait(timeout=60.0)  # every thread meets the object before its inverse exists
+        got[i] = (d.sample(5000, np.random.default_rng(i)), d.quantile(levels))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for (x, q), w in zip(got, want):
+        np.testing.assert_array_equal(x, w)
+        np.testing.assert_array_equal(q, want_q)
+
+
+def _mixture_draws(mval, mu, sigma, n, rng, terms=10_000):
+    """Draws of the law of ``0 < M < 1`` as a Gaussian scale mixture.
+
+    For ``0 < M < 1`` every ``C(M,m)(-1)^(m-1)`` is positive, so the
+    profile is a mixture of the Gaussians ``N(mu, sigma^2/m)`` with weights
+    proportional to ``C(M,m)(-1)^(m-1) m^(-1/2)``.  The first ``terms``
+    components are drawn by their weights.  Beyond them the coefficients
+    follow ``a_K (K/m)^(1+M)``, so the rest is one block whose index ``m``
+    is drawn from the power law ``m^(-3/2-M)``, exact to ``O(1/terms)``.
+    """
+    m = np.arange(1, terms + 1)
+    coeff = np.cumprod(np.concatenate(([mval], (m[1:] - 1.0 - mval) / m[1:])))
+    rest = coeff[-1] * terms ** (1.0 + mval) * (terms + 0.5) ** (-0.5 - mval) / (0.5 + mval)
+    weights = np.append(coeff / np.sqrt(m), rest)
+    index = (rng.choice(terms + 1, size=n, p=weights / weights.sum()) + 1).astype(float)
+    far = index > terms
+    index[far] = (terms + 0.5) * rng.random(int(far.sum())) ** (-1.0 / (0.5 + mval))
+    return mu + sigma * rng.standard_normal(n) / np.sqrt(index)
+
+
+def _two_sample_gap(a, b):
+    a, b = np.sort(a), np.sort(b)
+    pts = np.concatenate((a, b))
+    return np.max(np.abs(np.searchsorted(a, pts, side="right") / a.size
+                         - np.searchsorted(b, pts, side="right") / b.size))
+
+
+@pytest.mark.parametrize("mval", (0.025, 0.5))
+def test_cusped_sampler_matches_the_scale_mixture(mval):
+    n = 200_000
+    got = MultiGauss(0.5, 2.0, mval).sample(n, np.random.default_rng(31))
+    ref = _mixture_draws(mval, 0.5, 2.0, n, np.random.default_rng(32))
+    # two one-sample DKW bounds at false-alarm rate 0.5e-6 each
+    assert _two_sample_gap(got, ref) <= 2.0 * math.sqrt(math.log(4.0 / 1e-6) / (2.0 * n))

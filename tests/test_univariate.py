@@ -10,6 +10,7 @@ from multigauss import (
     SeriesNotConverged,
     TruncationFlag,
     TruncationPolicy,
+    xi_coeff,
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -49,6 +50,16 @@ class TestConstruction:
     def test_hopeless_cancellation_rejected(self):
         with pytest.raises(SeriesNotConverged):
             MultiGauss(0.0, 1.0, 60)
+
+    def test_unconverged_normalization_rejected(self):
+        with pytest.raises(SeriesNotConverged, match="S\\(1/2\\) did not converge"):
+            MultiGauss(0, 1, 0.5, policy=TruncationPolicy(max_terms=5, min_terms=1))
+
+    @pytest.mark.parametrize("mval", [0.025, 0.5, 2.5, 10])
+    def test_moment_ratios_are_computed_on_first_use(self, mval):
+        d = MultiGauss(0.0, 1.0, mval)
+        for n in (3, 1, 6, 1):
+            assert d.xi(n) == xi_coeff(n, mval)
 
     def test_public_fields_read_only(self, std_m10):
         with pytest.raises(AttributeError):
