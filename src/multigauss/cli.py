@@ -152,10 +152,10 @@ def _eval_mg(args, d: MultiGauss, label: str) -> np.recarray:
         return _table(x=us, value=d.quantile(us), series=label)
     if kind == "mgf":
         ts = _grid(args, -1.0, 1.0)
-        return _table(x=ts, value=[d.mgf(float(t)) for t in ts], series=label)
+        return _table(x=ts, value=d.mgf(ts), series=label)
     if kind == "cf":
         ws = _grid(args, -8.0, 8.0)
-        vals = np.array([d.cf(float(w)) for w in ws])
+        vals = d.cf(ws)
         return _table(x=np.concatenate([ws, ws]), value=np.concatenate([vals.real, vals.imag]),
                       series=np.repeat([label + ":re", label + ":im"], len(ws)))
     if kind == "moments":

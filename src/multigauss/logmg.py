@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .series import TruncationPolicy
 from .univariate import MultiGauss
 
 __all__ = ["LogMultiGauss"]
@@ -20,8 +19,8 @@ __all__ = ["LogMultiGauss"]
 class LogMultiGauss:
     """Positive random variable whose logarithm is `MultiGauss`-distributed."""
 
-    def __init__(self, mu: float, sigma: float, m, policy: TruncationPolicy | None = None):
-        self._base = MultiGauss(mu, sigma, m, policy)
+    def __init__(self, mu: float, sigma: float, m):
+        self._base = MultiGauss(mu, sigma, m)
 
     @classmethod
     def from_base(cls, base: MultiGauss) -> "LogMultiGauss":
@@ -63,7 +62,7 @@ class LogMultiGauss:
         return self._base.cdf(x)
 
     def moment(self, k: int) -> float:
-        """k-th raw moment ``E[Y^k] = MGF_X(k)``.
+        """k-th raw moment ``E[Y^k] = MGF_X(k)``, from `MultiGauss.mgf`.
 
         Raises ``OverflowError`` when the parameter/order combination exceeds
         the floating range.

@@ -34,9 +34,9 @@ import numpy as np
 from dataclasses import dataclass
 from scipy.linalg import solve_triangular
 
-from .series import (DEFAULT_POLICY, ShapeParam, TruncationPolicy, check_normalization,
-                     series_s)
-from .univariate import _CdfTable, _RadialInverse, _gaussian, _radial_draw, mg_profile
+from .series import ShapeParam
+from .univariate import (_CdfTable, _RadialInverse, _gaussian, _normalization, _radial_draw,
+                         mg_profile)
 
 __all__ = ["MvMultiGauss", "BivariateParams", "bivariate_pdf"]
 
@@ -86,7 +86,7 @@ class MvMultiGauss:
     caller-owned ``numpy.random.Generator`` per thread.
     """
 
-    def __init__(self, mean, cov, m, policy: TruncationPolicy | None = None):
+    def __init__(self, mean, cov, m):
         mean = np.array(mean, dtype=float, copy=True).reshape(-1)
         if mean.size < 1:
             raise ValueError("mean must have at least one component")
@@ -113,12 +113,7 @@ class MvMultiGauss:
         self._cov = cov
         self._chol = chol
         self._shape = ShapeParam.of(m)
-        self._policy = policy if policy is not None else DEFAULT_POLICY
-        res = series_s(0.5 * n, self._shape, self._policy)
-        check_normalization(res, self._shape, f"normalization S({0.5 * n:g}; M)")
-        if not res.value > 0.0:
-            raise ValueError(f"normalization failed for M={self._shape.value}, N={n}")
-        self._norm_result = res
+        self._norm_result = _normalization(0.5 * n, self._shape, f"normalization S({0.5 * n:g}; M)")
         self._log_det_half = float(np.sum(np.log(np.diag(chol))))
         for arr in (self._mean, self._cov, self._chol):
             arr.setflags(write=False)
@@ -152,10 +147,6 @@ class MvMultiGauss:
     @property
     def shape(self) -> ShapeParam:
         return self._shape
-
-    @property
-    def policy(self) -> TruncationPolicy:
-        return self._policy
 
     @property
     def norm_const(self) -> float:
@@ -232,25 +223,20 @@ class MvMultiGauss:
         return _RadialInverse(self._radial_table)
 
 
-def _bivariate_norm(shape: ShapeParam, policy: TruncationPolicy) -> float:
-    return series_s(1.0, shape, policy).value
-
-
-def bivariate_pdf(params: BivariateParams, m, x1, x2, policy: TruncationPolicy | None = None):
+def bivariate_pdf(params: BivariateParams, m, x1, x2):
     """Bivariate density in the (mu, sigma, rho) parameterization.
 
     Evaluates the elliptic quadratic form
 
         z = d1^2/s1^2 - 2 rho d1 d2/(s1 s2) + d2^2/s2^2,   Q = z/(1 - rho^2),
 
-    and the closed-form profile normalized by ``S(1; M)``.  Agrees with
+    and the closed-form profile normalized by ``S(1; M)``, which is checked
+    as for :class:`MvMultiGauss` (the same shapes raise).  Agrees with
     :class:`MvMultiGauss` built from ``params.covariance()`` to ~1e-13.
     """
     if not isinstance(params, BivariateParams):
         raise TypeError("params must be a BivariateParams")
     shape = ShapeParam.of(m)
-    if policy is None:
-        policy = DEFAULT_POLICY
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     scalar = x1.ndim == 0 and x2.ndim == 0
@@ -259,13 +245,8 @@ def bivariate_pdf(params: BivariateParams, m, x1, x2, policy: TruncationPolicy |
     one_minus_r2 = 1.0 - params.rho * params.rho
     z = d1 * d1 - 2.0 * params.rho * d1 * d2 + d2 * d2
     w = 0.5 * z / one_minus_r2
-    norm = (
-        _bivariate_norm(shape, policy)
-        * _TWO_PI
-        * params.sigma1
-        * params.sigma2
-        * math.sqrt(one_minus_r2)
-    )
+    norm = (_normalization(1.0, shape, "normalization S(1; M)").value * _TWO_PI
+            * params.sigma1 * params.sigma2 * math.sqrt(one_minus_r2))
     out = mg_profile(w, shape) / norm
     if scalar:
         return float(out)

@@ -7,18 +7,20 @@ The density is
 a symmetric bump that is exactly Gaussian at ``M = 1``, increasingly
 flat-topped as ``M`` grows, and cusped at the mode for ``0 < M < 1``.  The
 same function expands into an alternating series of Gaussians with common
-mean and component widths ``sigma / sqrt(m)``, which is what makes the CDF,
-generating functions and moments tractable.
+mean and component widths ``sigma / sqrt(m)``; that series (`multigauss.series`)
+gives the normalization constant and stays the reference the rest is
+checked against.
 
 Evaluation strategy: the closed form above is numerically stable for every
-``M`` and is always the production density path; the Gaussian series is kept
-as a verification target (`pdf_series`).  The CDF has one path for every
-``M``: each object lazily builds a table of the profile integral over the
-standardized half-line (a Gauss-Jacobi rule over the mode band, which
-absorbs the cusp of fractional shapes, then Gauss-Legendre panels out to 40
-sigma, with the tail masses accumulated from infinity inward), and a CDF
-value is the tabulated mass beyond the next panel edge plus one fixed
-Gauss-Legendre rule up to that edge, vectorized over any array of points.
+``M`` and is always the density path.  Every other quantity is an integral
+of the profile over the standardized half-line, taken from one table that
+each object builds on first use: a Gauss-Jacobi rule over the mode band
+(which absorbs the cusp of fractional shapes), then Gauss-Legendre panels
+out to 40 sigma.  The CDF is the tabulated mass beyond the next panel edge
+plus one fixed rule up to that edge.  The moment ratios, the MGF and the CF
+are expectations under the same nodes (`_CdfTable.expectation_rule`), with
+the profile folded into the weights as ``e^w f(w)`` so that no weight
+underflows; all are vectorized over any array of points.
 
 The law is the case N = 1 of the elliptical family, ``X = mu + sigma sign
 R`` with ``R = |U|`` (Cambanis, Huang & Simons 1981).  One radial inverse
@@ -33,23 +35,16 @@ from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.special import ndtri as _ndtri, roots_jacobi
+from scipy.special import erfc, ndtri as _ndtri, roots_jacobi
 
 from .series import (
-    DEFAULT_POLICY,
+    EXACT_COEFF_LIMIT,
     SeriesNotConverged,
     SeriesResult,
     ShapeParam,
     TruncationFlag,
-    TruncationPolicy,
-    _Neumaier,
-    _dd_mul_f,
-    _two_prod,
     check_normalization,
     series_s,
-    series_tail,
-    signed_coeffs,
-    xi_coeff,
 )
 
 __all__ = ["MultiGauss", "mg_profile"]
@@ -76,6 +71,16 @@ _CDF_BLOCK = 4096
 #: Half-squared distance beyond which `MultiGauss.logpdf` takes the far-tail
 #: series in log form, because ``e^-w`` leaves the normal float range.
 _LOG_TAIL_SWITCH = 700.0
+
+_LN2 = math.log(2.0)
+
+#: Elements of the (points x nodes) temporaries of one expectation block.
+_RULE_BLOCK = 1 << 18
+
+#: Largest ``|sigma omega|`` that one split of the table's panels resolves
+#: for the CF, and the largest it is evaluated at.
+_CF_PANEL_FREQ = 16.0
+_CF_REACH = 1e4
 
 
 def _cdf_panel_edges() -> np.ndarray:
@@ -130,14 +135,21 @@ def _gaussian(shape: ShapeParam) -> bool:
     return shape.is_integer and shape.int_value == 1
 
 
+def _tail_switch(shape: ShapeParam) -> float:
+    """``w`` beyond which the profile is taken from `_profile_tail_series`."""
+    return max(4.0, math.log(max(shape.value, 1.0)) + 4.0)
+
+
 def mg_profile(w, m_shape):
     """Peak-relative density profile ``1 - (1 - e^-w)^M`` for ``w >= 0``.
 
     Accepts scalars or arrays.  Near the peak the closed form is evaluated
-    through ``expm1``/``log``; in the far tail (``w`` beyond ``ln M + 4``)
-    the closed form has exhausted float resolution and the rapidly
-    convergent Gaussian series takes over, keeping full *relative* precision
-    all the way into the underflow region.
+    through ``(1 - e^-w)^M = exp(M log(1 - e^-w))``, with the log taken
+    through ``expm1`` up to ``w = ln 2`` and through ``log1p`` beyond, so it
+    keeps full relative precision on both sides.  In the far tail (``w``
+    beyond ``ln M + 4``) the closed form has exhausted float resolution and
+    the rapidly convergent Gaussian series takes over, keeping full
+    *relative* precision all the way into the underflow region.
     """
     shape = ShapeParam.of(m_shape)
     w = np.asarray(w, dtype=float)
@@ -145,18 +157,55 @@ def mg_profile(w, m_shape):
     if _gaussian(shape):
         out = np.exp(-w)
         return float(out) if scalar else out
-    t = -np.expm1(-w)  # 1 - e^-w, exact near 0
+    w = np.atleast_1d(w)
+    # log(1 - e^-w); both branches cost less than gathering each one's points
     with np.errstate(divide="ignore"):
-        logt = np.log(t)
-    out = -np.expm1(shape.value * logt)
-    w_switch = max(4.0, math.log(max(shape.value, 1.0)) + 4.0)
-    far = np.atleast_1d(w > w_switch)
+        log_gap = np.where(w <= _LN2, np.log(-np.expm1(-w)), np.log1p(-np.exp(-w)))
+    out = -np.expm1(shape.value * log_gap)
+    far = w > _tail_switch(shape)
     if far.any():
-        out = np.atleast_1d(out)
-        wf = np.atleast_1d(w)[far]
-        out[far] = np.exp(-wf) * _profile_tail_series(wf, shape)
-        return float(out[0]) if scalar else out
-    return float(out) if scalar else out
+        out[far] = np.exp(-w[far]) * _profile_tail_series(w[far], shape)
+    return float(out[0]) if scalar else out
+
+
+def _normalization(alpha: float, shape: ShapeParam, what: str,
+                   exact_limit: int = EXACT_COEFF_LIMIT) -> SeriesResult:
+    """``S(alpha; M)`` from the series, checked to have kept its digits and to be positive.
+
+    Raises `SeriesNotConverged` for a ``CAP_HIT`` result or one that
+    `check_normalization` rejects, and ``ValueError`` unless it is positive.
+    """
+    res = series_s(alpha, shape)
+    if res.truncation_flag is TruncationFlag.CAP_HIT:
+        raise SeriesNotConverged(f"{what} did not converge for M={shape.value} "
+                                 f"(condition number {res.condition_number:.3g})")
+    check_normalization(res, shape, what, exact_limit=exact_limit)
+    if not res.value > 0.0:
+        raise ValueError(f"{what} is not positive/finite for M={shape.value}")
+    return res
+
+
+def _rule_sum(points: np.ndarray, nodes: np.ndarray, weights: np.ndarray, kernel) -> np.ndarray:
+    """``sum_i weights_i kernel(p, nodes_i)`` for each of the 1-D ``points``, in blocks.
+
+    Each point's sum is one row reduction, so a point gets the same bits
+    whatever else the array holds.
+    """
+    out = np.empty(points.size)
+    step = max(1, _RULE_BLOCK // nodes.size)
+    for start in range(0, points.size, step):
+        out[start:start + step] = (kernel(points[start:start + step, None], nodes)
+                                   * weights).sum(axis=1)
+    return out
+
+
+def _scaled_profile(w: np.ndarray, shape: ShapeParam) -> np.ndarray:
+    """``h = e^w f(w)`` for an array ``w >= 0``: between 1 and ``M``, never underflowing."""
+    far = w > _tail_switch(shape)
+    h = np.empty_like(w)
+    h[~far] = np.exp(w[~far]) * mg_profile(w[~far], shape)
+    h[far] = _profile_tail_series(w[far], shape)
+    return h
 
 
 class _CdfTable:
@@ -215,13 +264,17 @@ class _CdfTable:
         """
         v = self._shape.value
         dim = self._dim
+        chi = self._band_terms(au).sum(axis=1)
+        core = au / dim - au ** (2.0 * v + 1.0) * 2.0 ** (-3.0 * v - dim) * chi
+        return core * (au / self._unit) ** (dim - 1)
+
+    def _band_terms(self, au: np.ndarray) -> np.ndarray:
+        """Gauss-Jacobi terms ``w_j phi(y_j)^M`` of ``chi`` on ``[0, au]``, one row per ``au``."""
         y = 0.5 * (au[:, None] * self._gj_nodes) ** 2
         # phi(y) = (1 - e^-y)/y, smooth and positive; phi(0) = 1
         safe = np.where(y > 0.0, y, 1.0)
         phi = np.where(y > 0.0, -np.expm1(-safe) / safe, 1.0)
-        chi = (np.exp(v * np.log(phi)) * self._gj_weights).sum(axis=1)
-        core = au / dim - au ** (2.0 * v + 1.0) * 2.0 ** (-3.0 * v - dim) * chi
-        return core * (au / self._unit) ** (dim - 1)
+        return np.exp(self._shape.value * np.log(phi)) * self._gj_weights
 
     def _blocks(self, r: np.ndarray, fill: float, band_fn, mid_fn) -> np.ndarray:
         """Evaluate a mass at a 1-D array ``r >= 0`` in blocks of `_CDF_BLOCK`.
@@ -275,6 +328,39 @@ class _CdfTable:
             lambda a: self._band_integral(a) * scale,
             lambda a, k: (self._head[k - 1] + self._legendre_integral(_CDF_EDGES[k - 1], a))
             * scale)
+
+    def expectation_rule(self, parts: int = 1, tail: float = 0.0):
+        """Nodes ``s_i`` and weights ``H_i`` of the table's own quadrature (``dim = 1``).
+
+        ``sum_i H_i e^(-s_i^2/2) g(s_i)`` approximates ``int f(s^2/2) g(s) ds``
+        for smooth ``g``, from 0 out to the first panel edge beyond which at
+        most ``tail`` of the mass lies (the reach for ``tail = 0``).  Every
+        interval of the table is split into ``parts`` equal pieces, so the
+        mode band narrows with them: its profile is split as ``1 - psi``,
+        the ``1`` by one Gauss-Legendre panel and ``psi`` by the Gauss-Jacobi
+        rule (negative weights), and every other panel is a Gauss-Legendre
+        panel.  The profile enters the weights as ``h = e^w f(w)``, so a
+        weight stays finite where ``f`` underflows.
+        """
+        last = int(np.argmax(self._tail <= tail * self._tail[0])) if tail else _CDF_EDGES.size - 1
+        edges = _CDF_EDGES[:last + 1]
+        frac = np.arange(parts) / parts
+        edges = np.append((edges[:-1, None] + np.diff(edges)[:, None] * frac).ravel(), edges[-1])
+        half = 0.5 * np.diff(edges)[:, None]
+        s = (edges[:-1, None] + half * (1.0 + _GL_NODES)).ravel()
+        w = 0.5 * s * s
+        n_band = _GL_NODES.size
+        h = np.concatenate((np.exp(w[:n_band]), _scaled_profile(w[n_band:], self._shape)))
+        v, band = self._shape.value, edges[1:2]
+        sj = band * self._gj_nodes
+        hj = (-band ** (2.0 * v + 1.0) * 2.0 ** (-3.0 * v - 1.0) * self._band_terms(band)[0]
+              * np.exp(0.5 * sj * sj))
+        return np.concatenate((s, sj)), np.concatenate(((half * _GL_WEIGHTS).ravel() * h, hj))
+
+    @cached_property
+    def rule(self):
+        """`expectation_rule` out to the reach, built on first use."""
+        return self.expectation_rule()
 
 
 #: Nodes of the radial inverse: radii on a uniform grid of Gaussian scores.
@@ -398,13 +484,14 @@ class MultiGauss:
     """Symmetric distribution with location ``mu``, scale ``sigma``, shape ``M``.
 
     Immutable after construction, which computes the normalization
-    constant; the moment ratios, the CDF table and the radial inverse are
-    built on first use, each published by one assignment.  All evaluation
-    methods are safe for concurrent use; `sample` requires a caller-owned
-    ``numpy.random.Generator`` that must not be shared between threads.
+    constant; the moment ratios, the CDF table with its expectation rule and
+    the radial inverse are built on first use, each published by one
+    assignment.  All evaluation methods are safe for concurrent use;
+    `sample` requires a caller-owned ``numpy.random.Generator`` that must
+    not be shared between threads.
     """
 
-    def __init__(self, mu: float, sigma: float, m, policy: TruncationPolicy | None = None):
+    def __init__(self, mu: float, sigma: float, m):
         mu = float(mu)
         sigma = float(sigma)
         if not math.isfinite(mu):
@@ -414,22 +501,10 @@ class MultiGauss:
         self._mu = mu
         self._sigma = sigma
         self._shape = ShapeParam.of(m)
-        self._policy = policy if policy is not None else DEFAULT_POLICY
-        if not isinstance(self._policy, TruncationPolicy):
-            raise TypeError("policy must be a TruncationPolicy")
-        self._c0_result = series_s(0.5, self._shape, self._policy)
-        if self._c0_result.truncation_flag is TruncationFlag.CAP_HIT:
-            raise SeriesNotConverged(f"S(1/2) did not converge for M={self._shape.value} "
-                                     f"(condition number {self._c0_result.condition_number:.3g})")
         # M = 55..57 still pass as exact here although their c0 is off by up
         # to 2.8e-2 (a known fault, listed in ROADMAP.md)
-        check_normalization(self._c0_result, self._shape, "normalization", exact_limit=57)
-        if not self._c0_result.value > 0.0:
-            raise ValueError(
-                f"normalization constant is not positive/finite for M={self._shape.value}"
-            )
+        self._c0_result = _normalization(0.5, self._shape, "S(1/2)", exact_limit=57)
         self._xi: dict[int, float] = {}
-        self._coeff_cache = signed_coeffs(self._shape, self._policy.max_terms)
 
     # -- parameters ---------------------------------------------------------
 
@@ -446,10 +521,6 @@ class MultiGauss:
         return self._shape
 
     @property
-    def policy(self) -> TruncationPolicy:
-        return self._policy
-
-    @property
     def c0(self) -> float:
         """Normalization constant ``S(1/2; M)``."""
         return self._c0_result.value
@@ -460,11 +531,22 @@ class MultiGauss:
         return self._c0_result
 
     def xi(self, n: int) -> float:
-        """Moment coefficient ratio ``xi_n = S(n+1/2; M) / S(1/2; M)``."""
-        if n == 0:
+        """Moment coefficient ratio ``xi_n = S(n+1/2; M) / S(1/2; M)``.
+
+        Taken as ``E[U^(2n)] / (2n-1)!!`` under the table's expectation rule
+        (the terms in log form, so no power overflows; exactly 1 at ``M = 1``),
+        and cached per ``n``.
+        """
+        if not (isinstance(n, (int, np.integer)) and n >= 0):
+            raise ValueError(f"n must be a non-negative integer, got {n!r}")
+        if n == 0 or _gaussian(self._shape):
             return 1.0
         if n not in self._xi:
-            self._xi[n] = xi_coeff(n, self._shape, self._policy)
+            s, h = self._cdf_table.rule
+            log_dfact = math.log(math.prod(range(1, 2 * n, 2)))
+            with np.errstate(divide="ignore"):
+                terms = np.exp(np.log(np.abs(h)) - 0.5 * s * s + 2 * n * np.log(s) - log_dfact)
+            self._xi[n] = float((np.sign(h) * terms).sum() / (h * np.exp(-0.5 * s * s)).sum())
         return self._xi[n]
 
     def __repr__(self) -> str:
@@ -500,57 +582,6 @@ class MultiGauss:
             return float(out[0]) if x.ndim == 0 else out
         return float(out) if x.ndim == 0 else out
 
-    def pdf_series(self, x: float) -> SeriesResult:
-        """Density via the alternating Gaussian series, with quality metadata.
-
-        This is the verification path: the value agrees with :meth:`pdf` up
-        to the cancellation floor implied by ``condition_number``.  For
-        fractional shapes the series is truncated per the policy; close to
-        the mode it converges too slowly for the cap and honestly reports
-        ``CAP_HIT``.
-        """
-        x = float(x)
-        u = (x - self._mu) / self._sigma
-        w = 0.5 * u * u
-        norm = self.c0 * _SQRT_2PI * self._sigma
-        acc = _Neumaier()
-        abs_acc = _Neumaier()
-        if self._shape.is_integer:
-            mi = self._shape.int_value
-            v = float(mi)
-            b = 1.0
-            for m in range(1, mi + 1):
-                b = b * (v - m + 1) / m
-                hi, lo = _two_prod(b, math.exp(-m * w))
-                sign = 1.0 if (m % 2 == 1) else -1.0
-                acc.add(sign * hi)
-                acc.add(sign * lo)
-                abs_acc.add(hi)
-                abs_acc.add(lo)
-            value = acc.total() / norm
-            abs_sum = abs(abs_acc.total())
-            cond = abs_sum / abs(acc.total()) if acc.total() != 0.0 else math.inf
-            return SeriesResult(value, mi, max(cond, 1.0), TruncationFlag.EXACT)
-        pol = self._policy
-        b = 1.0
-        v = self._shape.value
-        terms_used = pol.max_terms
-        flag = TruncationFlag.CAP_HIT
-        for m in range(1, pol.max_terms + 1):
-            b = b * (v - m + 1) / m
-            term = b * math.exp(-m * w)
-            if m % 2 == 0:
-                term = -term
-            acc.add(term)
-            abs_acc.add(abs(term))
-            if m >= pol.min_terms and abs(term) < pol.eps_abs:
-                terms_used = m
-                flag = TruncationFlag.TOLERANCE_MET
-                break
-        total = acc.total()
-        cond = abs(abs_acc.total()) / abs(total) if total != 0.0 else math.inf
-        return SeriesResult(total / norm, terms_used, max(cond, 1.0), flag)
-
     # -- cumulative distribution --------------------------------------------
 
     def cdf(self, x):
@@ -578,88 +609,64 @@ class MultiGauss:
     def _inverse(self) -> _RadialInverse:
         return _RadialInverse(self._cdf_table)
 
-    def _signed_coeffs(self, n: int) -> np.ndarray:
-        # read the cache once: another thread may replace it meanwhile
-        coeffs = self._coeff_cache
-        if not self._shape.is_integer and n > len(coeffs):
-            coeffs = signed_coeffs(self._shape, n)
-            self._coeff_cache = coeffs
-        return coeffs[:n]
-
     # -- generating functions -------------------------------------------------
 
-    def _weighted_exp_sum(self, g: float, shift: float) -> float:
-        """``sum_m C(M,m)(-1)^(m-1) m^(-1/2) exp(g/m + shift)``.
+    def mgf(self, t):
+        """Moment generating function ``E[e^(t X)]`` at a scalar or an array ``t``.
 
-        Callers arrange ``g/m + shift <= 0`` for every m, so no intermediate
-        overflows.  The exponential factor tends to ``e^shift``, so for
-        fractional shapes the tail is completed order by order in
-        ``g^j / (j! m^j)`` through the zeta-completed tails of exponent
-        ``1/2 + j``; the summation window grows with ``|g|`` so that the
-        order expansion always converges immediately.
+        ``E[e^(aU)] = e^(a^2/2) m(a) / m(0)`` with ``m`` the `_shifted_mass`
+        of ``h = e^w f``, by the table's expectation rule out to 40 sigma
+        and, beyond, ``h = M`` in closed form (erfc); so only ``e^(a^2/2)``
+        can overflow.  Raises ``OverflowError`` when a value exceeds the
+        floating range, the out-of-domain signal for extreme ``t``.  A scalar
+        gives a ``float`` with the bits of the array element; ``mgf(0) = 1``.
         """
-        if self._shape.is_integer:
-            mi = self._shape.int_value
-            v = float(mi)
-            acc = _Neumaier()
-            b = 1.0
-            for m in range(1, mi + 1):
-                b = b * (v - m + 1) / m
-                hi, lo = _dd_mul_f(*_two_prod(b, math.exp(g / m + shift)), 1.0 / math.sqrt(m))
-                sign = 1.0 if (m % 2 == 1) else -1.0
-                acc.add(sign * hi)
-                acc.add(sign * lo)
-            return acc.total()
-        n_eff = max(self._policy.max_terms, min(int(4.0 * abs(g)) + 1, 500_000))
-        coeffs = self._signed_coeffs(n_eff)
-        n_eff = len(coeffs)
-        ms = np.arange(1.0, n_eff + 1.0)
-        acc = math.fsum(coeffs * np.exp(g / ms + shift) / np.sqrt(ms))
-        factor = math.exp(shift)  # underflow to 0 only when the tail truly vanishes
-        for j in range(0, 200):
-            tail_j, _ = series_tail(0.5 + j, self._shape, n_eff)
-            contrib = factor * tail_j
-            acc += contrib
-            if j >= 2 and abs(contrib) < 1e-18 * max(abs(acc), 1e-300):
-                break
-            factor *= g / (j + 1)
-            if factor == 0.0:
-                break
-        return acc
+        t = np.asarray(t, dtype=float)
+        flat = np.atleast_1d(t).ravel()
+        a = np.abs(self._sigma * flat)
+        ratio = self._shifted_mass(a) / self._shifted_mass(np.zeros(1))[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.exp(self._mu * flat + 0.5 * a * a) * ratio
+        bad = ~np.isfinite(out) & ~np.isnan(flat)
+        if bad.any():
+            raise OverflowError(f"the MGF exceeds the float range at t={flat[bad][0]!r}")
+        return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
-    def mgf(self, t: float) -> float:
-        """Moment generating function; finite for every real ``t``.
+    def _shifted_mass(self, a: np.ndarray) -> np.ndarray:
+        """``int_0^inf h(s) (e^(-(s-a)^2/2) + e^(-(s+a)^2/2)) / 2 ds`` for each ``a >= 0``."""
+        s, h = self._cdf_table.rule
+        near = _rule_sum(a, s, h, lambda p, s: 0.5 * (np.exp(-0.5 * (s - p) ** 2)
+                                                      + np.exp(-0.5 * (s + p) ** 2)))
+        far = erfc((_CDF_REACH - a) / math.sqrt(2.0)) + erfc((_CDF_REACH + a) / math.sqrt(2.0))
+        return near + self._shape.value * math.sqrt(math.pi / 8.0) * far
 
-        Raises ``OverflowError`` when the value itself exceeds the floating
-        range, which is the out-of-domain signal for extreme ``t``.
+    def cf(self, omega):
+        """Characteristic function ``E[e^(i omega X)]`` at a scalar or an array.
+
+        ``e^(i omega mu) E[cos(sigma omega U)]``, the expectation by the
+        table's rule cut where at most 1e-17 of the mass lies beyond.  Above
+        ``|sigma omega| = 16`` every panel and the mode band are split into
+        ``ceil(|sigma omega| / 16)`` pieces to resolve the oscillation;
+        beyond ``|sigma omega| = 1e4`` it raises ``ValueError``.  Absolute
+        error below 1e-14 for ``M >= 0.025`` (~1e-16 from ``M = 0.1``; the
+        sharper cusps below lose digits to it, 3e-14 at ``M = 0.01``).  A
+        scalar gives a ``complex`` with the bits of the array element;
+        ``cf(0) = 1``.
         """
-        t = float(t)
-        if t == 0.0:
-            return 1.0
-        beta = 0.5 * (self._sigma * t) ** 2
-        # pull e^beta out of every term: exp(beta/m) = e^beta exp(beta(1-m)/m)
-        bracket = self._weighted_exp_sum(beta, -beta)
-        if not bracket > 0.0:
-            raise SeriesNotConverged(
-                f"MGF series cancelled catastrophically for M={self._shape.value}, t={t}"
-            )
-        return math.exp(self._mu * t + beta + math.log(bracket / self.c0))
-
-    def cf(self, omega: float) -> complex:
-        """Characteristic function ``E[e^(i omega X)]``; modulus <= 1.
-
-        Equals the analytic continuation of the MGF at ``i omega``: the
-        component Gaussians contribute ``exp(-sigma^2 omega^2 / (2m))``
-        weighted by ``C(M,m)(-1)^(m-1)/sqrt(m)``, with the location entering
-        only through the phase ``e^(i omega mu)``.
-        """
-        omega = float(omega)
-        if omega == 0.0:
-            return complex(1.0, 0.0)
-        gamma = 0.5 * (self._sigma * omega) ** 2
-        r = self._weighted_exp_sum(-gamma, 0.0) / self.c0
-        phase = self._mu * omega
-        return complex(math.cos(phase) * r, math.sin(phase) * r)
+        omega = np.asarray(omega, dtype=float)
+        w = np.atleast_1d(omega).ravel()
+        a = np.abs(self._sigma * w)
+        if (a > _CF_REACH).any():
+            raise ValueError(f"|sigma omega| must not exceed {_CF_REACH:g}, got {a.max()!r}")
+        parts = np.ceil(np.maximum(a, 1.0) / _CF_PANEL_FREQ)
+        r = np.full_like(a, np.nan)
+        for k in np.unique(parts[~np.isnan(a)]):
+            s, h = self._cdf_table.expectation_rule(int(k), tail=1e-17)
+            q = h * np.exp(-0.5 * s * s)
+            pick = parts == k
+            r[pick] = _rule_sum(a[pick], s, q, lambda p, s: np.cos(p * s)) / q.sum()
+        out = r * np.exp(1j * self._mu * w)
+        return complex(out[0]) if omega.ndim == 0 else out.reshape(omega.shape)
 
     # -- moments and cumulants -------------------------------------------------
 

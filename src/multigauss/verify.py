@@ -27,7 +27,7 @@ from .oracle import (
     integrate_cos_weighted,
     ks_statistic,
 )
-from .series import TruncationPolicy, series_s, signed_coeffs
+from .series import TruncationPolicy, series_s, signed_coeffs, xi_coeff
 from .univariate import MultiGauss
 
 __all__ = ["SUITES", "run_suite", "series_reports", "univariate_reports",
@@ -80,6 +80,13 @@ def series_reports() -> list[OracleReport]:
     b = series_s(0.5, 2.5, TruncationPolicy(max_terms=4000))
     reports.append(OracleReport(
         "series/c0(M=2.5) cap 2000 vs 4000", a.value, b.value, abs_tol=1e-8))
+    # the moment ratios of the profile-integral rule against the series, the oracle
+    for mval in (2, 10, 0.5, 2.5):
+        d = MultiGauss(0.0, 1.0, mval)
+        for n in (1, 2, 3, 4):
+            reports.append(OracleReport(
+                f"series/xi_{n}(M={mval}) rule vs series", d.xi(n), xi_coeff(n, mval),
+                rel_tol=1e-13))
     # positive-term series have unit condition number
     for mval in (0.5, 0.025):
         r = series_s(0.5, mval)

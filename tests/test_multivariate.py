@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from multigauss import BivariateParams, MultiGauss, MvMultiGauss, bivariate_pdf
+from multigauss import (BivariateParams, MultiGauss, MvMultiGauss, SeriesNotConverged,
+                        bivariate_pdf)
 from multigauss.oracle import integrate_2d_graded
 
 
@@ -99,9 +100,16 @@ class TestPdf:
         mv = MvMultiGauss([0, 0], np.eye(2), 10)
         rng = np.random.default_rng(8)
         for r in (0.5, 1.5, 3.0):
-            thetas = rng.uniform(0.0, 2.0 * math.pi, size=8)
-            vals = [mv.pdf([r * math.cos(t), r * math.sin(t)]) for t in thetas]
-            assert np.ptp(vals) <= 1e-15 * max(vals)
+            thetas = rng.uniform(0.0, 2.0 * math.pi, size=32)
+            pts = np.column_stack([r * np.cos(thetas), r * np.sin(thetas)])
+            # the rounded quadratic form differs by an ulp or two between angles, and
+            # past w = ln 2 the profile resolves that: compare equal forms exactly
+            q = mv.mahalanobis_sq(pts)
+            vals = np.array([mv.pdf(p) for p in pts])
+            assert np.unique(q).size < q.size
+            for qv in np.unique(q):
+                assert np.ptp(vals[q == qv]) == 0.0
+            assert np.all(np.diff(vals[np.argsort(q, kind="stable")]) <= 0.0)
 
     def test_mass_is_one(self):
         mv = MvMultiGauss([0, 0], np.eye(2), 40)
@@ -135,6 +143,22 @@ class TestBivariateClosedForm:
             a = bivariate_pdf(p, 40, x1, x2)
             b = mv.pdf([x1, x2])
             assert a == pytest.approx(b, rel=1e-13, abs=1e-300)
+
+    @pytest.mark.parametrize("mval", [55, 57, 60, 200.3])
+    def test_unreliable_normalization_raises(self, mval):
+        # S(1; M) keeps no reliable digits here; MvMultiGauss raises for the same shapes
+        p = BivariateParams(0.0, 0.0, 1.0, 1.0, 0.3)
+        with pytest.raises(SeriesNotConverged):
+            bivariate_pdf(p, mval, 0.5, -0.2)
+        with pytest.raises(SeriesNotConverged):
+            MvMultiGauss(p.mean(), p.covariance(), mval)
+
+    def test_largest_exact_shape_matches_cholesky_path(self):
+        p = BivariateParams(0.2, -0.1, 1.1, 0.9, -0.6)
+        mv = MvMultiGauss(p.mean(), p.covariance(), 54)
+        xs = np.array([[0.2, -0.1], [1.0, 1.0], [-1.4, 0.9], [2.8, -2.0], [0.0, 3.5]])
+        got = bivariate_pdf(p, 54, xs[:, 0], xs[:, 1])
+        np.testing.assert_allclose(got, mv.pdf(xs), rtol=1e-13, atol=0.0)
 
     def test_exchange_symmetry(self):
         p = BivariateParams(0.5, 0.5, 1.3, 1.3, 0.4)
