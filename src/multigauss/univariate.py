@@ -34,7 +34,6 @@ import math
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import erfc, ndtri as _ndtri, roots_jacobi
 
 from .series import (
@@ -73,6 +72,12 @@ _CDF_BLOCK = 4096
 _LOG_TAIL_SWITCH = 700.0
 
 _LN2 = math.log(2.0)
+
+#: An MGF point ``a = |sigma t|`` sums the rule's nodes ``s <= a + 12``,
+#: rounded up to a multiple of 4: past ``a + 12`` both Gaussian factors are
+#: below ``e^-72``, far under the rounding of the sum.
+_MGF_WINDOW = 12.0
+_MGF_WINDOW_STEP = 4.0
 
 #: Elements of the (points x nodes) temporaries of one expectation block.
 _RULE_BLOCK = 1 << 18
@@ -377,6 +382,44 @@ _RADIUS_CANDIDATES = np.concatenate((np.geomspace(1e-30, _CDF_BAND, 100, endpoin
                                      np.arange(_CDF_BAND, _CDF_REACH, 0.25)))
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    """Shape-preserving one-sided three-point slope at an end of a PCHIP cubic.
+
+    ``h0, m0`` are the width and secant slope of the end interval, ``h1, m1``
+    those of its neighbour (Moler, *Numerical Computing with MATLAB*, 3.6).
+    """
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients, shape ``(4, n-1)``, of the monotone PCHIP cubic through ``(x, y)``.
+
+    Piece ``k`` is ``((c[0] t + c[1]) t + c[2]) t + c[3]`` with ``t = x - x[k]``.
+    The inner node slopes are the weighted harmonic means of the secant
+    slopes (Fritsch & Butland 1984), zero where those change sign or vanish,
+    and the end slopes come from `_pchip_end_slope`.  The operations and
+    their order are those of ``scipy.interpolate.PchipInterpolator(x, y).c``,
+    so the coefficients have its bits.  ``x`` strictly increasing, ``n >= 3``.
+    """
+    h = x[1:] - x[:-1]
+    m = (y[1:] - y[:-1]) / h
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    d = np.zeros_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+
 def _radial_score(table: _CdfTable, r: np.ndarray) -> np.ndarray:
     """Gaussian score of the radial CDF at ``r``, from whichever tail is smaller."""
     below = table.below(r)
@@ -418,7 +461,7 @@ class _RadialInverse:
         for _ in range(2):
             log_r -= _score_step(table, log_r, grid)
         self.grid = grid
-        self._coeffs = PchipInterpolator(grid, np.exp(log_r)).c
+        self._coeffs = _pchip_coeffs(grid, np.exp(log_r))
 
     def radius(self, score: np.ndarray) -> np.ndarray:
         """Radius at each Gaussian score, clipped to the grid.
@@ -484,9 +527,9 @@ class MultiGauss:
     """Symmetric distribution with location ``mu``, scale ``sigma``, shape ``M``.
 
     Immutable after construction, which computes the normalization
-    constant; the moment ratios, the CDF table with its expectation rule and
-    the radial inverse are built on first use, each published by one
-    assignment.  All evaluation methods are safe for concurrent use;
+    constant; the moment ratios, the CDF table with its expectation rule,
+    the MGF's denominator and the radial inverse are built on first use,
+    each published by one assignment.  All evaluation methods are safe for concurrent use;
     `sample` requires a caller-owned ``numpy.random.Generator`` that must
     not be shared between threads.
     """
@@ -624,7 +667,7 @@ class MultiGauss:
         t = np.asarray(t, dtype=float)
         flat = np.atleast_1d(t).ravel()
         a = np.abs(self._sigma * flat)
-        ratio = self._shifted_mass(a) / self._shifted_mass(np.zeros(1))[0]
+        ratio = self._shifted_mass(a) / self._mgf_norm
         with np.errstate(over="ignore", invalid="ignore"):
             out = np.exp(self._mu * flat + 0.5 * a * a) * ratio
         bad = ~np.isfinite(out) & ~np.isnan(flat)
@@ -632,11 +675,26 @@ class MultiGauss:
             raise OverflowError(f"the MGF exceeds the float range at t={flat[bad][0]!r}")
         return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
+    @cached_property
+    def _mgf_norm(self) -> float:
+        """`_shifted_mass` at ``a = 0``, the MGF's denominator."""
+        return float(self._shifted_mass(np.zeros(1))[0])
+
     def _shifted_mass(self, a: np.ndarray) -> np.ndarray:
-        """``int_0^inf h(s) (e^(-(s-a)^2/2) + e^(-(s+a)^2/2)) / 2 ds`` for each ``a >= 0``."""
+        """``int_0^inf h(s) (e^(-(s-a)^2/2) + e^(-(s+a)^2/2)) / 2 ds`` for each ``a >= 0``.
+
+        Each point sums only the rule's nodes inside its `_MGF_WINDOW`, whose
+        bound depends on the point alone, so a point gets the same bits
+        whatever else the array holds.
+        """
         s, h = self._cdf_table.rule
-        near = _rule_sum(a, s, h, lambda p, s: 0.5 * (np.exp(-0.5 * (s - p) ** 2)
-                                                      + np.exp(-0.5 * (s + p) ** 2)))
+        bound = _MGF_WINDOW_STEP * np.ceil((a + _MGF_WINDOW) / _MGF_WINDOW_STEP)
+        near = np.full_like(a, np.nan)
+        for b in np.unique(bound[~np.isnan(bound)]):
+            keep, pick = s <= b, bound == b
+            near[pick] = _rule_sum(a[pick], s[keep], h[keep],
+                                   lambda p, s: 0.5 * (np.exp(-0.5 * (s - p) ** 2)
+                                                       + np.exp(-0.5 * (s + p) ** 2)))
         far = erfc((_CDF_REACH - a) / math.sqrt(2.0)) + erfc((_CDF_REACH + a) / math.sqrt(2.0))
         return near + self._shape.value * math.sqrt(math.pi / 8.0) * far
 
