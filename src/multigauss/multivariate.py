@@ -32,7 +32,6 @@ from functools import cached_property
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.linalg import solve_triangular
 
 from .series import ShapeParam
 from .univariate import (_CdfTable, _RadialInverse, _gaussian, _normalization, _radial_draw,
@@ -41,6 +40,10 @@ from .univariate import (_CdfTable, _RadialInverse, _gaussian, _normalization, _
 __all__ = ["MvMultiGauss", "BivariateParams", "bivariate_pdf"]
 
 _TWO_PI = 2.0 * math.pi
+
+#: Rows of the Cholesky factor per step of the forward substitution: each
+#: step first subtracts, in one matrix product, the rows solved before it.
+_SUBST_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -115,6 +118,8 @@ class MvMultiGauss:
         self._shape = ShapeParam.of(m)
         self._norm_result = _normalization(0.5 * n, self._shape, f"normalization S({0.5 * n:g}; M)")
         self._log_det_half = float(np.sum(np.log(np.diag(chol))))
+        # multiplied, not divided, as in scipy's solve_triangular: at N = 1 Q keeps its bits
+        self._inv_diag = 1.0 / np.diag(chol)
         for arr in (self._mean, self._cov, self._chol):
             arr.setflags(write=False)
 
@@ -163,8 +168,17 @@ class MvMultiGauss:
         pts = np.atleast_2d(x)
         if pts.shape[1] != self.dim:
             raise ValueError(f"points must have dimension {self.dim}, got {pts.shape[1]}")
-        # unchecked, so a row holding a NaN gives nan and leaves the other rows alone
-        z = solve_triangular(self._chol, (pts - self._mean).T, lower=True, check_finite=False)
+        # forward substitution L z = x - mean, one point per column, so a
+        # point holding a NaN or an inf gives nan or inf, silently, and leaves
+        # the other points alone
+        chol, z = self._chol, (pts - self._mean).T
+        with np.errstate(invalid="ignore"):
+            for start in range(0, self.dim, _SUBST_BLOCK):
+                block = slice(start, start + _SUBST_BLOCK)
+                if start:
+                    z[block] -= chol[block, :start] @ z[:start]
+                for i in range(start, min(start + _SUBST_BLOCK, self.dim)):
+                    z[i] = (z[i] - chol[i, start:i] @ z[start:i]) * self._inv_diag[i]
         q = np.sum(z * z, axis=0)
         if single:
             return float(q[0])

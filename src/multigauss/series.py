@@ -1,4 +1,4 @@
-"""Alternating binomial series engine with compensated summation.
+"""Alternating binomial series engine with compensated or correctly rounded summation.
 
 Every normalization constant and moment coefficient in this package is a sum
 of the form
@@ -21,7 +21,9 @@ hazards live here:
   ``M`` is small.  After the truncated partial sum, the remaining tail is in
   the constant-sign asymptotic regime and is completed analytically through
   Hurwitz zeta functions, which restores near machine precision at the
-  default cap of 2000 terms.
+  default cap of 2000 terms.  The terms are formed in numpy, a block of up
+  to 2048 at a time, and the kept terms and the tail are summed with the
+  correctly rounded ``math.fsum`` (no Neumaier summation on this path).
 
 The condition number ``sum |t_m| / |sum t_m|`` of every evaluation is
 reported so callers can judge how many digits survived the cancellation.
@@ -405,29 +407,53 @@ def _series_integer(alpha: float, shape: ShapeParam) -> SeriesResult:
     return SeriesResult(value, mi, max(cond, 1.0), TruncationFlag.EXACT)
 
 
+#: Terms the fractional series forms per numpy pass.  Even, so every block
+#: starts at an odd ``m``; the default cap of 2000 terms is one block.
+_SERIES_BLOCK = 2048
+
+
 def _series_fractional(alpha: float, shape: ShapeParam, policy: TruncationPolicy) -> SeriesResult:
     v = shape.value
-    acc = _Neumaier()
-    abs_acc = _Neumaier()
+    blocks = []
     b = 1.0
     terms_used = policy.max_terms
     met_in_loop = False
-    for m in range(1, policy.max_terms + 1):
-        b = b * (v - m + 1) / m
-        term = b * m ** (-alpha)
-        if m % 2 == 0:
-            term = -term
-        acc.add(term)
-        abs_acc.add(abs(term))
-        if m >= policy.min_terms and abs(term) < policy.eps_abs:
-            terms_used = m
-            met_in_loop = True
-            break
+    with np.errstate(all="ignore"):
+        for start in range(1, policy.max_terms + 1, _SERIES_BLOCK):
+            m = np.arange(start, min(start + _SERIES_BLOCK, policy.max_terms + 1), dtype=float)
+            # the product of the ratios (v - m + 1)/m, continued from the last
+            # block's b: the same bits as one product over every block
+            coeffs = np.cumprod(np.concatenate(([b], (v - m + 1.0) / m)))[1:]
+            terms = coeffs * m ** -alpha
+            terms[1::2] = -terms[1::2]
+            small = np.abs(terms) < policy.eps_abs
+            small[:max(policy.min_terms - start, 0)] = False
+            stop = int(small.argmax())
+            if small[stop]:
+                blocks.append(terms[:stop + 1])
+                terms_used = start + stop
+                met_in_loop = True
+                break
+            blocks.append(terms)
+            b = float(coeffs[-1])
+            if not math.isfinite(b):
+                # every later term is non-finite too, so none can meet the tolerance
+                break
+    terms = np.concatenate(blocks)
     tail, residual = series_tail(alpha, shape, terms_used)
-    acc.add(tail)
-    abs_acc.add(abs(tail))
-    value = acc.total()
-    abs_sum = abs_acc.total()
+    if np.isfinite(terms).all():
+        try:
+            value = math.fsum(terms.tolist() + [tail])
+        except OverflowError:  # a partial sum beyond the float range
+            value = math.nan
+        # sum |t_m| only sets the condition number, so a plain sum serves, and
+        # where every term has one sign it is |value|: condition number 1
+        if (terms.min() >= 0.0 and tail >= 0.0) or (terms.max() <= 0.0 and tail <= 0.0):
+            abs_sum = abs(value)
+        else:
+            abs_sum = float(np.abs(terms).sum()) + abs(tail)
+    else:
+        value = abs_sum = math.nan
     if met_in_loop or residual < max(policy.eps_abs, 5e-16 * abs(value)):
         flag = TruncationFlag.TOLERANCE_MET
     else:

@@ -34,7 +34,7 @@ import math
 from functools import cached_property
 
 import numpy as np
-from scipy.special import erfc, ndtri as _ndtri, roots_jacobi
+from scipy.special import beta as _beta, betaln as _betaln, erfc, eval_jacobi, ndtri as _ndtri
 
 from .series import (
     EXACT_COEFF_LIMIT,
@@ -86,6 +86,9 @@ _RULE_BLOCK = 1 << 18
 #: for the CF, and the largest it is evaluated at.
 _CF_PANEL_FREQ = 16.0
 _CF_REACH = 1e4
+
+#: Share of the mass beyond the last panel of the CF's rules.
+_CF_TAIL = 1e-17
 
 
 def _cdf_panel_edges() -> np.ndarray:
@@ -213,6 +216,37 @@ def _scaled_profile(w: np.ndarray, shape: ShapeParam) -> np.ndarray:
     return h
 
 
+def _roots_jacobi(n: int, a: float, b: float):
+    """Nodes and weights of the ``n``-point Gauss-Jacobi rule, weight ``(1-x)^a (1+x)^b``.
+
+    The eigenvalues of the Jacobi matrix of the three-term recurrence, one
+    Newton step on ``P_n^(a,b)``, then weights ``1/(P_(n-1) P_n')``
+    normalized to the weight's mass: the operations of
+    ``scipy.special.roots_jacobi(n, a, b)``, with its bits, for ``a != b``
+    and ``a + b != 0``.
+    """
+    k = np.arange(n, dtype=float)
+    ab = 2.0 * k + a + b
+    diag = np.where(k == 0, (b - a) / (2 + a + b), (b * b - a * a) / (ab * (ab + 2)))
+    kk, abk = k[1:], ab[1:]
+    off = (2.0 / abk * np.sqrt((kk + a) * (kk + b) / (abk + 1))
+           * np.where(kk == 1, 1.0, np.sqrt(kk * (kk + a + b) / (abk - 1))))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1), UPLO="L")
+    dy = 0.5 * (n + a + b + 1) * eval_jacobi(n - 1, a + 1, b + 1, x)
+    x -= eval_jacobi(n, a, b, x) / dy
+    # P_(n-1) and P_n' span many decades: scale each before the product
+    fm = eval_jacobi(n - 1, a, b, x)
+    log_fm, log_dy = np.log(np.abs(fm)), np.log(np.abs(dy))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.)
+    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.)
+    w = 1.0 / (fm * dy)
+    if a + b <= 1000:
+        mu0 = 2.0 ** (a + b + 1) * _beta(a + 1, b + 1)
+    else:
+        mu0 = np.exp((a + b + 1) * np.log(2.0) + _betaln(a + 1, b + 1))
+    return x, w * (mu0 / w.sum())
+
+
 class _CdfTable:
     """Masses of the radial law with density ``s^(dim-1) f(s^2/2)``, ``s >= 0``.
 
@@ -235,7 +269,7 @@ class _CdfTable:
         self._dim = dim
         # the weight is taken as (s/unit)^(dim-1), which stays finite over the reach
         self._unit = math.sqrt(dim - 1.0) if dim > 2 else 1.0
-        xg, wg = roots_jacobi(_GJ_ORDER, 0.0, 2.0 * shape.value + (dim - 1))
+        xg, wg = _roots_jacobi(_GJ_ORDER, 0.0, 2.0 * shape.value + (dim - 1))
         self._gj_nodes = 0.5 * (1.0 + xg)
         self._gj_weights = wg
         panels = self._legendre_integral(_CDF_EDGES[1:-1], _CDF_EDGES[2:])
@@ -366,6 +400,11 @@ class _CdfTable:
     def rule(self):
         """`expectation_rule` out to the reach, built on first use."""
         return self.expectation_rule()
+
+    @cached_property
+    def cf_rule(self):
+        """Unsplit `expectation_rule` cut at `_CF_TAIL`: the CF's rule to ``|sigma omega| = 16``."""
+        return self.expectation_rule(tail=_CF_TAIL)
 
 
 #: Nodes of the radial inverse: radii on a uniform grid of Gaussian scores.
@@ -718,8 +757,9 @@ class MultiGauss:
             raise ValueError(f"|sigma omega| must not exceed {_CF_REACH:g}, got {a.max()!r}")
         parts = np.ceil(np.maximum(a, 1.0) / _CF_PANEL_FREQ)
         r = np.full_like(a, np.nan)
+        table = self._cdf_table
         for k in np.unique(parts[~np.isnan(a)]):
-            s, h = self._cdf_table.expectation_rule(int(k), tail=1e-17)
+            s, h = table.cf_rule if k == 1 else table.expectation_rule(int(k), tail=_CF_TAIL)
             q = h * np.exp(-0.5 * s * s)
             pick = parts == k
             r[pick] = _rule_sum(a[pick], s, q, lambda p, s: np.cos(p * s)) / q.sum()

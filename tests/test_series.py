@@ -1,6 +1,7 @@
 """Tests for the alternating binomial series engine."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from multigauss import (
     signed_coeffs,
     xi_coeff,
 )
-from multigauss.series import check_normalization, series_tail
+from multigauss.series import DEFAULT_POLICY, check_normalization, series_tail
 
 # Frozen references from 40-digit evaluations (integral representation for
 # fractional shapes, exact finite sums for integer ones).
@@ -214,3 +215,76 @@ class TestTailReflectionUnderflow:
             check_normalization(series_s(0.5, 55), ShapeParam(55), "c0")
         with pytest.raises(SeriesNotConverged):
             check_normalization(series_s(0.5, 200.3), ShapeParam(200.3), "c0")
+
+
+def loop_stop(alpha, mval, policy):
+    """The stopping index of the term-by-term loop: first m >= min_terms with |t_m| < eps_abs."""
+    b = 1.0
+    for m in range(1, policy.max_terms + 1):
+        b = b * (mval - m + 1) / m
+        if m >= policy.min_terms and abs(b * m ** -alpha) < policy.eps_abs:
+            return m
+    return policy.max_terms
+
+
+@pytest.fixture(scope="module")
+def mellin_refs():
+    """``S(a; M)`` at 40 digits from ``Gamma(a)^-1 int t^(a-1) [1 - (1 - e^-t)^M] dt``."""
+    mpmath = pytest.importorskip("mpmath")
+    refs = {}
+    with mpmath.workdps(40):
+        for mval in FRACTIONAL_SHAPES:
+            big_m = mpmath.mpf(mval)
+            for a in (0.5, 1.0, 1.5, 2.5):
+                big_a = mpmath.mpf(a)
+                f = lambda t: t ** (big_a - 1) * (1 - (1 - mpmath.exp(-t)) ** big_m)
+                s = mpmath.quad(f, [0, 1, 10, 50, mpmath.inf]) / mpmath.gamma(big_a)
+                refs[a, mval] = float(s)
+    return refs
+
+
+FRACTIONAL_SHAPES = (1e-3, 0.025, 0.5, 2.5, 7.3, 12.378584)
+
+
+class TestFractionalSeries:
+    @pytest.mark.parametrize("mval", FRACTIONAL_SHAPES)
+    def test_matches_mpmath(self, mellin_refs, mval):
+        for a in (0.5, 1.0, 1.5, 2.5):
+            assert series_s(a, mval).value == pytest.approx(mellin_refs[a, mval], rel=3e-14, abs=0)
+
+    @pytest.mark.parametrize("mval", [200.3, 1000.5, 10000.5, 1e6 + 0.5])
+    def test_huge_shapes_raise_without_warnings(self, mval):
+        from multigauss import MultiGauss
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SeriesNotConverged):
+                MultiGauss(0.0, 1.0, mval)
+
+    def test_non_finite_terms_hit_the_cap(self):
+        r = series_s(0.5, 1e6 + 0.5)
+        assert r.truncation_flag is TruncationFlag.CAP_HIT
+        assert r.terms_used == DEFAULT_POLICY.max_terms
+        assert math.isnan(r.value)
+
+    def test_long_policy_agrees_with_the_default(self):
+        r = series_s(0.5, 0.5, TruncationPolicy(max_terms=10**6))
+        assert r.terms_used == 10**6
+        assert r.value == pytest.approx(series_s(0.5, 0.5).value, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("alpha,mval,policy", [
+        (0.5, 2.5, DEFAULT_POLICY),
+        (0.5, 2.5, TruncationPolicy(max_terms=5000)),  # stops in the second block
+        (1.5, 7.3, DEFAULT_POLICY),
+        (0.5, 12.5, TruncationPolicy(max_terms=5000, min_terms=3000)),
+        (2.5, 0.025, TruncationPolicy(eps_abs=1e-9)),
+    ])
+    def test_stops_where_the_term_loop_stops(self, alpha, mval, policy):
+        r = series_s(alpha, mval, policy)
+        assert r.terms_used == loop_stop(alpha, mval, policy)
+        assert r.truncation_flag is TruncationFlag.TOLERANCE_MET
+
+    def test_stops_near_the_start_of_a_later_block(self):
+        t2049, t2050 = (abs(binom_coeff(2.5, m)) * m ** -0.5 for m in (2049, 2050))
+        policy = TruncationPolicy(eps_abs=math.sqrt(t2049 * t2050), max_terms=5000)
+        assert series_s(0.5, 2.5, policy).terms_used == 2050 == loop_stop(0.5, 2.5, policy)

@@ -222,6 +222,24 @@ class TestGeneratingFunctions:
                      for j in range(0, 18))
         assert d.cf(w).real == pytest.approx(series, rel=1e-12)
 
+    def test_cf_builds_its_unsplit_rule_once(self, monkeypatch):
+        from multigauss.univariate import _CdfTable
+
+        builds, build = [], _CdfTable.expectation_rule
+
+        def counting(self, parts=1, tail=0.0):
+            builds.append(parts)
+            return build(self, parts, tail)
+
+        monkeypatch.setattr(_CdfTable, "expectation_rule", counting)
+        d = MultiGauss(0.2, 1.1, 2.5)
+        w = np.linspace(-12.0, 12.0, 41)
+        first = d.cf(w)
+        assert np.array_equal(d.cf(w), first) and d.cf(3.0) == d.cf(np.array([3.0]))[0]
+        assert builds == [1]
+        d.cf(40.0), d.cf(40.0)  # |sigma omega| = 44: split in three, built per call
+        assert builds == [1, 3, 3]
+
 
 class TestMoments:
     def test_first_moment_exact(self):
