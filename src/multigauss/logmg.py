@@ -82,4 +82,5 @@ class LogMultiGauss:
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` strictly positive variates (exp of base samples)."""
-        return np.exp(self._base.sample(n, rng))
+        x = self._base.sample(n, rng)
+        return np.exp(x, out=x)

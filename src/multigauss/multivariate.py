@@ -221,12 +221,16 @@ class MvMultiGauss:
         factor, ``D = Z/|Z|`` uniform on the sphere and the radius ``R``
         drawn by inverse-CDF sampling of its radial law, by the same radial
         inverse and draw as the univariate sampler.  One block of standard
-        normals gives the directions, then one block of uniforms the radii.
+        normals gives the directions, then one block of uniforms the radii;
+        at ``N = 1`` the uniforms alone give sign and radius, as in
+        `MultiGauss.sample`, whose stream a one-dimensional law shares.
         At ``M = 1`` the output is exactly the Gaussian stream
         ``mean + Z L^T``.  Identical generator state yields identical output.
         """
         inverse = None if _gaussian(self._shape) else self._inverse
-        return _radial_draw(n, rng, self.dim, inverse) @ self._chol.T + self._mean
+        x = _radial_draw(n, rng, self.dim, inverse) @ self._chol.T
+        x += self._mean
+        return x
 
     @cached_property
     def _radial_table(self) -> _CdfTable:

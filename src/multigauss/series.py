@@ -327,7 +327,7 @@ def series_tail(alpha: float, m_shape, n_summed: int):
     magnitude of the last retained correction; it bounds the truncation of
     the expansion itself.  Returns ``(0.0, 0.0)`` for integer shapes (no
     tail) and ``(0.0, inf)`` when the completion is not applicable (divergent
-    exponent or too few summed terms).
+    exponent or too few summed terms) or leaves the float range.
     """
     shape = ShapeParam.of(m_shape)
     if shape.is_integer:
@@ -349,8 +349,12 @@ def series_tail(alpha: float, m_shape, n_summed: int):
     zs = _hurwitz_zeta(s0 + np.arange(5.0), n_summed + 1.0)
     if not np.all(np.isfinite(zs)):
         return 0.0, math.inf
+    # float arithmetic, which overflows to inf or nan without a warning
     tail = kappa * float(np.dot(cs, zs))
-    residual = abs(kappa * cs[4] * zs[4])
+    residual = abs(kappa * cs[4] * float(zs[4]))
+    if not (math.isfinite(tail) and math.isfinite(residual)):
+        # near M = 171 the reflection constant or the expansion leaves the float range
+        return 0.0, math.inf
     return tail, residual
 
 
@@ -407,9 +411,29 @@ def _series_integer(alpha: float, shape: ShapeParam) -> SeriesResult:
     return SeriesResult(value, mi, max(cond, 1.0), TruncationFlag.EXACT)
 
 
-#: Terms the fractional series forms per numpy pass.  Even, so every block
-#: starts at an odd ``m``; the default cap of 2000 terms is one block.
+#: Terms the fractional series forms per numpy pass after a first block
+#: sized by `_first_block`.  Even, like the first, so every block starts at
+#: an odd ``m``; the default cap of 2000 terms is at most two blocks.
 _SERIES_BLOCK = 2048
+
+
+def _first_block(alpha: float, v: float, policy: TruncationPolicy) -> int:
+    """Terms of the fractional series' first block: even, at most `_SERIES_BLOCK`.
+
+    Past ``m ~ M`` the terms decay like ``m^(-M-1-alpha) / |Gamma(-M)|``, so
+    they fall below ``eps_abs`` near ``m = (eps_abs |Gamma(-M)|)^(-1/(M+1+alpha))``.
+    The block holds twice that plus ``M + 16``, and at least ``min_terms``:
+    where the terms decay fast the series stops inside it, and otherwise the
+    next block continues the same product.
+    """
+    decay = v + 1.0 + alpha
+    if policy.eps_abs <= 0.0 or decay <= 0.0:
+        return _SERIES_BLOCK
+    log_stop = -(math.log(policy.eps_abs) + math.lgamma(-v)) / decay
+    if log_stop > math.log(_SERIES_BLOCK):
+        return _SERIES_BLOCK
+    size = max(2.0 * math.exp(log_stop) + v + 16.0, policy.min_terms)
+    return min(_SERIES_BLOCK, 2 * math.ceil(size / 2.0))
 
 
 def _series_fractional(alpha: float, shape: ShapeParam, policy: TruncationPolicy) -> SeriesResult:
@@ -418,9 +442,10 @@ def _series_fractional(alpha: float, shape: ShapeParam, policy: TruncationPolicy
     b = 1.0
     terms_used = policy.max_terms
     met_in_loop = False
+    start, size = 1, _first_block(alpha, v, policy)
     with np.errstate(all="ignore"):
-        for start in range(1, policy.max_terms + 1, _SERIES_BLOCK):
-            m = np.arange(start, min(start + _SERIES_BLOCK, policy.max_terms + 1), dtype=float)
+        while start <= policy.max_terms:
+            m = np.arange(start, min(start + size, policy.max_terms + 1), dtype=float)
             # the product of the ratios (v - m + 1)/m, continued from the last
             # block's b: the same bits as one product over every block
             coeffs = np.cumprod(np.concatenate(([b], (v - m + 1.0) / m)))[1:]
@@ -439,6 +464,7 @@ def _series_fractional(alpha: float, shape: ShapeParam, policy: TruncationPolicy
             if not math.isfinite(b):
                 # every later term is non-finite too, so none can meet the tolerance
                 break
+            start, size = start + size, _SERIES_BLOCK
     terms = np.concatenate(blocks)
     tail, residual = series_tail(alpha, shape, terms_used)
     if np.isfinite(terms).all():
@@ -454,7 +480,7 @@ def _series_fractional(alpha: float, shape: ShapeParam, policy: TruncationPolicy
             abs_sum = float(np.abs(terms).sum()) + abs(tail)
     else:
         value = abs_sum = math.nan
-    if met_in_loop or residual < max(policy.eps_abs, 5e-16 * abs(value)):
+    if math.isfinite(value) and (met_in_loop or residual < max(policy.eps_abs, 5e-16 * abs(value))):
         flag = TruncationFlag.TOLERANCE_MET
     else:
         flag = TruncationFlag.CAP_HIT

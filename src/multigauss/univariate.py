@@ -283,6 +283,8 @@ class _CdfTable:
         self._tail = tail
         self._head = np.concatenate(([0.0], band + np.cumsum(np.concatenate(([0.0], panels)))))
         self._scale = 0.5 / tail[0]
+        # `below` exceeds 1/2 at every radius from this panel edge on
+        self.median_edge = _CDF_EDGES[np.argmax(self._head * (2.0 * self._scale) > 0.5)]
 
     def _legendre_integral(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Integral of the radial density over each ``[lo, hi]``, one 16-point rule each."""
@@ -368,6 +370,16 @@ class _CdfTable:
             lambda a, k: (self._head[k - 1] + self._legendre_integral(_CDF_EDGES[k - 1], a))
             * scale)
 
+    def mass_bounds(self, r: np.ndarray):
+        """Bounds on ``P(R <= r)`` and ``P(R > r)`` for a 1-D array ``r >= 0``.
+
+        The masses below the end and beyond the start of each point's
+        panel, read from the table without integrating.
+        """
+        k = np.minimum(np.searchsorted(_CDF_EDGES, r, side="right"), _CDF_EDGES.size - 1)
+        scale = 2.0 * self._scale
+        return self._head[k] * scale, self._tail[k - 1] * scale
+
     def expectation_rule(self, parts: int = 1, tail: float = 0.0):
         """Nodes ``s_i`` and weights ``H_i`` of the table's own quadrature (``dim = 1``).
 
@@ -410,9 +422,16 @@ class _CdfTable:
 #: Nodes of the radial inverse: radii on a uniform grid of Gaussian scores.
 _INVERSE_NODES = 801
 
+#: Scores per block of `_RadialInverse.radius`.
+_RADIUS_BLOCK = 8192
+
 #: Largest |score| the radial inverse's grid reaches: a float generator's
 #: uniforms lie within [2^-53, 1 - 2^-53], whose scores are below 8.3.
 _SCORE_REACH = 8.5
+
+#: About the mass of a Gaussian tail beyond the score 9, far outside
+#: `_SCORE_REACH`: the inverse's coarse pass skips radii with less.
+_FAR_MASS = 1e-19
 
 #: Coarse radii at which the radial score is computed once per inverse to
 #: place its nodes: geometric up to the mode band (the lower tail is a power
@@ -460,11 +479,18 @@ def _pchip_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _radial_score(table: _CdfTable, r: np.ndarray) -> np.ndarray:
-    """Gaussian score of the radial CDF at ``r``, from whichever tail is smaller."""
-    below = table.below(r)
-    upper = below > 0.5
+    """Gaussian score of the radial CDF at ``r``, from whichever tail is smaller.
+
+    A radius from the table's `median_edge` on takes the upper tail alone;
+    only the others integrate ``below`` to learn which tail is smaller.
+    """
+    upper = r >= table.median_edge
+    lower = np.flatnonzero(~upper)
+    below = table.below(r[lower])
+    upper[lower[below > 0.5]] = True
+    score = np.empty_like(r)
     with np.errstate(divide="ignore"):
-        score = _ndtri(below)
+        score[lower] = _ndtri(below)
         score[upper] = -_ndtri(table.above(r[upper]))
     return score
 
@@ -487,13 +513,21 @@ class _RadialInverse:
     precision.  The inverse is the PCHIP interpolant of ``r`` on a uniform
     grid of `_INVERSE_NODES` scores over ``|score| <= 8.5``.  A coarse pass
     over `_RADIUS_CANDIDATES` gives each grid score a first radius, and two
-    Newton steps (`_score_step`) move it onto the score.  Immutable.
+    Newton steps (`_score_step`) move it onto the score.  The coarse pass
+    skips the candidates that `_CdfTable.mass_bounds` puts beyond a score
+    of 9 (mass below `_FAR_MASS`), except the one next to the grid on each
+    side, so the interpolation between the rest has the bits of a pass over
+    every candidate.  Immutable.
     """
 
     def __init__(self, table: _CdfTable):
-        sc = _radial_score(table, _RADIUS_CANDIDATES)
+        below, above = table.mass_bounds(_RADIUS_CANDIDATES)
+        first = max(np.count_nonzero(below < _FAR_MASS) - 1, 0)
+        stop = _RADIUS_CANDIDATES.size - max(np.count_nonzero(above < _FAR_MASS) - 1, 0)
+        rc = _RADIUS_CANDIDATES[first:stop]
+        sc = _radial_score(table, rc)
         keep = np.isfinite(sc)
-        sc, log_rc = sc[keep], np.log(_RADIUS_CANDIDATES[keep])
+        sc, log_rc = sc[keep], np.log(rc[keep])
         grid = np.linspace(max(sc[0], -_SCORE_REACH), min(sc[-1], _SCORE_REACH),
                            _INVERSE_NODES)
         log_r = np.interp(grid, sc, log_rc)
@@ -503,42 +537,71 @@ class _RadialInverse:
         self._coeffs = _pchip_coeffs(grid, np.exp(log_r))
 
     def radius(self, score: np.ndarray) -> np.ndarray:
-        """Radius at each Gaussian score, clipped to the grid.
+        """Radius at each of the 1-D array's Gaussian scores, clipped to the grid.
 
         The grid is uniform, so the cubic piece holding each score is found
-        by arithmetic rather than by binary search.
+        by arithmetic rather than by binary search.  The scores are taken in
+        blocks of `_RADIUS_BLOCK`, so the temporaries stay small and cached.
         """
         grid, coeffs = self.grid, self._coeffs
-        score = np.clip(score, grid[0], grid[-1])
-        k = ((score - grid[0]) * ((grid.size - 1) / (grid[-1] - grid[0]))).astype(np.intp)
-        np.minimum(k, grid.size - 2, out=k)
-        t = score - grid[k]
-        return ((coeffs[0, k] * t + coeffs[1, k]) * t + coeffs[2, k]) * t + coeffs[3, k]
+        lo, hi = grid[0], grid[-1]
+        per_piece = (grid.size - 1) / (hi - lo)
+        out = np.empty_like(score)
+        for start in range(0, score.size, _RADIUS_BLOCK):
+            t = np.clip(score[start:start + _RADIUS_BLOCK], lo, hi)
+            row = np.subtract(t, lo)
+            row *= per_piece
+            k = row.astype(np.intp)
+            np.minimum(k, grid.size - 2, out=k)
+            # the Horner sum ((c0 t + c1) t + c2) t + c3 in place, on rows gathered by take
+            t -= grid.take(k, out=row)
+            res = coeffs[0].take(k, out=out[start:start + _RADIUS_BLOCK])
+            for c in coeffs[1:]:
+                res *= t
+                res += c.take(k, out=row)
+        return out
 
 
 def _radial_draw(n: int, rng, dim: int, inverse: _RadialInverse | None) -> np.ndarray:
     """``n`` standardized points ``R D`` of a radial law, shape ``(n, dim)``.
 
-    ``D = Z/|Z|`` is uniform on the sphere and ``R`` is drawn by inverse-CDF
-    sampling: one block of standard normals gives the directions, then one
-    block of uniforms the radii.  ``inverse`` is the law's `_RadialInverse`,
-    or ``None`` for the Gaussian shape ``M = 1``, whose points are the
-    standard normals themselves.
+    ``inverse`` is the law's `_RadialInverse`, through which ``R`` is drawn
+    by inverse-CDF sampling, or ``None`` for the Gaussian shape ``M = 1``,
+    whose points are one block of standard normals.  In one dimension one
+    block of uniforms ``u`` gives both factors: ``D`` is the sign of
+    ``u - 1/2`` and ``R`` the radius at the score ``-ndtri(2 min(u, 1 - u))``,
+    the unpolished `MultiGauss.quantile` of ``u``.  In more dimensions
+    ``D = Z/|Z|`` is uniform on the sphere: one block of standard normals
+    gives the directions, then one block of uniforms the radii.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if not isinstance(rng, np.random.Generator):
         raise TypeError("rng must be a numpy.random.Generator")
     n = int(n)
-    z = rng.standard_normal((n, dim))
     if inverse is None:
-        return z
+        return rng.standard_normal((n, dim))
+    if dim == 1:
+        u = rng.random(n)
+        score = np.subtract(1.0, u)
+        np.minimum(u, score, out=score)
+        score *= 2.0  # the tail 2 min(u, 1 - u), then its score
+        with np.errstate(divide="ignore"):
+            _ndtri(score, out=score)
+        np.negative(score, out=score)
+        radius = inverse.radius(score)
+        u -= 0.5
+        return np.copysign(radius, u, out=radius)[:, None]
+    z = rng.standard_normal((n, dim))
     norm = np.sqrt(np.einsum("ij,ij->i", z, z))
-    z[norm == 0.0, 0] = 1.0  # a zero direction (probability ~0) becomes e_1
-    norm[norm == 0.0] = 1.0
+    zero = norm == 0.0
+    z[zero, 0] = 1.0  # a zero direction (probability ~0) becomes e_1
+    norm[zero] = 1.0
+    u = rng.random(n)
     with np.errstate(divide="ignore"):
-        radius = inverse.radius(_ndtri(rng.random(n)))
-    z *= (radius / norm)[:, None]
+        radius = inverse.radius(_ndtri(u, out=u))
+    radius /= norm
+    z *= radius[:, None]
     return z
 
 
@@ -859,12 +922,16 @@ class MultiGauss:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` variates ``mu + sigma sign R`` by inverse-CDF sampling.
 
-        The sign is that of a standard normal and the radius ``R = |U|``
-        comes from the radial inverse at the Gaussian score of a uniform
-        (interpolation error below ~1e-6 sigma, far inside every statistical
-        tolerance): the one-dimensional case of the multivariate sampler.  At
-        ``M = 1`` the output is exactly ``mu + sigma Z``.  Identical generator
-        state yields identical output.
+        One block of uniforms ``u`` gives both factors: the sign is that of
+        ``u - 1/2`` and the radius ``R = |U|`` comes from the radial inverse
+        at the score of the tail ``2 min(u, 1 - u)``.  So each variate is the
+        `quantile` of its uniform without the Newton polish (interpolation
+        error below ~1e-6 sigma, far inside every statistical tolerance): the
+        one-dimensional case of the multivariate sampler.  At ``M = 1`` the
+        output is exactly ``mu + sigma Z``.  Identical generator state yields
+        identical output.
         """
-        points = _radial_draw(n, rng, 1, None if _gaussian(self._shape) else self._inverse)
-        return self._mu + self._sigma * points[:, 0]
+        x = _radial_draw(n, rng, 1, None if _gaussian(self._shape) else self._inverse)[:, 0]
+        x *= self._sigma
+        x += self._mu
+        return x

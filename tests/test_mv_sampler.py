@@ -12,13 +12,14 @@ import time
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import roots_jacobi
+from scipy.special import ndtr, ndtri, roots_jacobi
 
 from multigauss import MvMultiGauss, SeriesNotConverged
 from multigauss.series import ShapeParam
 from multigauss.univariate import (
-    _CDF_BAND, _CDF_EDGES, _CDF_REACH, _GJ_ORDER, _GL_NODES, _GL_WEIGHTS, _CdfTable,
-    _RadialInverse, _radial_score, mg_profile,
+    _CDF_BAND, _CDF_EDGES, _CDF_REACH, _GJ_ORDER, _GL_NODES, _GL_WEIGHTS, _INVERSE_NODES,
+    _RADIUS_CANDIDATES, _SCORE_REACH, _CdfTable, _pchip_coeffs, _RadialInverse, _radial_score,
+    _score_step, mg_profile,
 )
 
 SHAPES = (1e-3, 0.025, 0.5, 1, 2.5, 10, 40, 54)
@@ -117,6 +118,86 @@ def test_unit_dimension_table_keeps_its_bits(mval):
     au = np.concatenate((np.linspace(0.0, 45.0, 3001), [0.3, 0.3 - 1e-12, 40.0]))
     got = _CdfTable(shape, 1).lower_tail(au)
     np.testing.assert_array_equal(got, _unit_table_lower_tail(shape, au))
+
+
+def _both_tails_score(table, r):
+    """The radial score as it was written before it took one tail past the
+    median: ``below`` at every radius, then ``above`` where that exceeds 1/2."""
+    below = table.below(r)
+    upper = below > 0.5
+    with np.errstate(divide="ignore"):
+        score = ndtri(below)
+        score[upper] = -ndtri(table.above(r[upper]))
+    return score
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3, 5))
+@pytest.mark.parametrize("mval", (1e-3, 0.025, 0.5, 1, 2.5, 40, 54))
+def test_one_tail_radial_score_keeps_its_bits(mval, dim):
+    table = _CdfTable(ShapeParam.of(mval), dim)
+    k = int(np.searchsorted(_CDF_EDGES, table.median_edge))
+    # the median edge is the first panel edge past the median
+    below_edges = table.below(_CDF_EDGES[k - 1:k + 1])
+    assert below_edges[0] <= 0.5 < below_edges[1]
+    r = np.concatenate((
+        np.geomspace(1e-30, _CDF_BAND, 300, endpoint=False),  # the mode band
+        np.linspace(_CDF_EDGES[k - 1], _CDF_EDGES[k + 1], 401),  # the median's panel and the next
+        np.nextafter(table.median_edge, [0.0, np.inf]),
+        np.linspace(_CDF_BAND, _CDF_REACH, 3001),  # out to the far tail
+        [_CDF_REACH, 40.5, 1e3, np.inf, np.nan],  # beyond the reach
+    ))
+    np.testing.assert_array_equal(_radial_score(table, r), _both_tails_score(table, r))
+
+
+@pytest.mark.parametrize("dim", (1, 2, 5, 60))
+@pytest.mark.parametrize("mval", (1e-3, 0.5, 2.5, 40))
+def test_mass_bounds_bound_the_masses(mval, dim):
+    table = _CdfTable(ShapeParam.of(mval), dim)
+    r = np.concatenate((np.geomspace(1e-30, _CDF_BAND, 200, endpoint=False),
+                        np.linspace(_CDF_BAND, _CDF_REACH, 2001)[:-1]))
+    below, above = table.mass_bounds(r)
+    # up to the rounding of masses near 1
+    assert np.all(table.below(r) <= below * (1.0 + 1e-15))
+    assert np.all(table.above(r) <= above * (1.0 + 1e-15))
+
+
+def _inverse_from_every_candidate(table):
+    """The radial inverse's nodes and coefficients as built before its coarse
+    pass skipped candidates: the score at every candidate radius."""
+    sc = _both_tails_score(table, _RADIUS_CANDIDATES)
+    keep = np.isfinite(sc)
+    sc, log_rc = sc[keep], np.log(_RADIUS_CANDIDATES[keep])
+    grid = np.linspace(max(sc[0], -_SCORE_REACH), min(sc[-1], _SCORE_REACH), _INVERSE_NODES)
+    log_r = np.interp(grid, sc, log_rc)
+    for _ in range(2):
+        log_r -= _score_step(table, log_r, grid)
+    return grid, _pchip_coeffs(grid, np.exp(log_r))
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3, 5, 20, 60))
+@pytest.mark.parametrize("mval", (1e-3, 0.025, 0.5, 2.5, 12.3, 40, 54))
+def test_coarse_pass_keeps_the_inverse_bits(mval, dim):
+    table = _CdfTable(ShapeParam.of(mval), dim)
+    inverse = _RadialInverse(table)
+    grid, coeffs = _inverse_from_every_candidate(table)
+    np.testing.assert_array_equal(inverse.grid, grid)
+    np.testing.assert_array_equal(inverse._coeffs, coeffs)
+
+
+@pytest.mark.parametrize("dim", (1, 3, 60))
+@pytest.mark.parametrize("mval", (0.025, 2.5, 40))
+def test_coarse_pass_keeps_the_inverse_bits_with_exact_bounds(monkeypatch, mval, dim):
+    # with bounds that are the masses themselves and a cut at the grid's
+    # reach, only the candidate kept next to the grid on each side brackets it
+    from multigauss import univariate
+
+    table = _CdfTable(ShapeParam.of(mval), dim)
+    want = _inverse_from_every_candidate(table)
+    monkeypatch.setattr(univariate, "_FAR_MASS", float(ndtr(-_SCORE_REACH)))
+    monkeypatch.setattr(_CdfTable, "mass_bounds", lambda self, r: (self.below(r), self.above(r)))
+    inverse = _RadialInverse(table)
+    np.testing.assert_array_equal(inverse.grid, want[0])
+    np.testing.assert_array_equal(inverse._coeffs, want[1])
 
 
 @pytest.mark.parametrize("mval,dim", [(0.025, 2), (2.5, 3), (40, 5), (0.5, 1), (40, 1)])

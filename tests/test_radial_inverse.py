@@ -66,6 +66,29 @@ def test_univariate_sampler_is_the_one_dimensional_radial_sampler(mval):
     np.testing.assert_array_equal(lmg, np.exp(got))
 
 
+@pytest.mark.parametrize("mval", (0.025, 0.5, 2.5, 40, 54))
+def test_univariate_sampler_is_the_quantile_transform(mval):
+    # one uniform per variate: the draw is the quantile of the generator's
+    # uniform, up to the inverse's interpolation error
+    mu, sigma = -0.7, 2.3
+    d = MultiGauss(mu, sigma, mval)
+    for seed in (3, 8):
+        x = d.sample(50_000, np.random.default_rng(seed))
+        u = np.random.default_rng(seed).random(50_000)
+        keep = u > 0.0
+        assert np.max(np.abs(x[keep] - d.quantile(u[keep]))) <= 1e-6 * sigma
+
+
+def test_gaussian_shape_draws_the_standard_normals():
+    z = np.random.default_rng(9).standard_normal(3000)
+    x = MultiGauss(-2.0, 3.0, 1).sample(3000, np.random.default_rng(9))
+    np.testing.assert_array_equal(x, -2.0 + 3.0 * z)
+    lmg = LogMultiGauss(-2.0, 3.0, 1).sample(3000, np.random.default_rng(9))
+    np.testing.assert_array_equal(lmg, np.exp(-2.0 + 3.0 * z))
+    mv = MvMultiGauss([0.5], [[4.0]], 1).sample(3000, np.random.default_rng(9))
+    np.testing.assert_array_equal(mv[:, 0], z * 2.0 + 0.5)
+
+
 def test_threads_sharing_one_object_match_one_thread():
     d = MultiGauss(0.5, 2.0, 2.5)
     levels = np.linspace(0.01, 0.99, 41)

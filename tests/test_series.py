@@ -209,6 +209,31 @@ class TestTailReflectionUnderflow:
         assert math.gamma(1.0 - 200.3) == 0.0
         assert series_tail(0.5, 200.3, 2000) == (0.0, math.inf)
 
+    @pytest.mark.parametrize("mval", [170.5, 171.5, 172.5])
+    def test_completion_past_the_float_range_is_not_applicable(self, mval):
+        # Gamma(1 - M) nears its underflow here: the reflection constant or
+        # the expansion overflows, which must neither warn nor yield a NaN
+        # that passes for converged
+        from multigauss import MultiGauss
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in (0.5, 1.0, 1.5):
+                r = series_s(a, mval)
+                assert series_tail(a, mval, r.terms_used) == (0.0, math.inf)
+                if r.truncation_flag is TruncationFlag.TOLERANCE_MET:
+                    assert math.isfinite(r.value)
+            with pytest.raises(SeriesNotConverged):
+                MultiGauss(0.0, 1.0, mval)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])  # the cap, and a stop inside the loop
+    def test_non_finite_value_is_never_converged(self, monkeypatch, alpha):
+        from multigauss import series
+
+        monkeypatch.setattr(series, "series_tail", lambda *args: (math.inf, 0.0))
+        r = series_s(alpha, 2.5)
+        assert math.isinf(r.value) and r.truncation_flag is TruncationFlag.CAP_HIT
+
     def test_shared_normalization_check(self):
         check_normalization(series_s(0.5, 54), ShapeParam(54), "c0")
         with pytest.raises(SeriesNotConverged, match="M=55"):
@@ -288,3 +313,27 @@ class TestFractionalSeries:
         t2049, t2050 = (abs(binom_coeff(2.5, m)) * m ** -0.5 for m in (2049, 2050))
         policy = TruncationPolicy(eps_abs=math.sqrt(t2049 * t2050), max_terms=5000)
         assert series_s(0.5, 2.5, policy).terms_used == 2050 == loop_stop(0.5, 2.5, policy)
+
+    @pytest.mark.parametrize("mval", [1e-3, 0.5, 2.5, 7.3, 12.378584, 20.5, 47.5, 170.5, 200.3])
+    def test_first_block_size_changes_no_bit(self, monkeypatch, mval):
+        from multigauss import series
+
+        policies = (DEFAULT_POLICY, TruncationPolicy(max_terms=5000, min_terms=3000),
+                    TruncationPolicy(eps_abs=1e-9), TruncationPolicy(eps_abs=0.0, max_terms=3000))
+        got = [series_s(a, mval, p) for a in (0.5, 1.5, 4.5) for p in policies]
+        monkeypatch.setattr(series, "_first_block", lambda *args: series._SERIES_BLOCK)
+        want = [series_s(a, mval, p) for a in (0.5, 1.5, 4.5) for p in policies]
+        for g, w in zip(got, want):
+            assert g.terms_used == w.terms_used and g.truncation_flag is w.truncation_flag
+            assert g.value == w.value or (math.isnan(g.value) and math.isnan(w.value))
+            assert (g.condition_number == w.condition_number
+                    or (math.isnan(g.condition_number) and math.isnan(w.condition_number)))
+
+    @pytest.mark.parametrize("mval", [7.3, 12.378584, 20.5, 47.5])
+    def test_fast_decay_stops_inside_the_first_block(self, mval):
+        from multigauss.series import _SERIES_BLOCK, _first_block
+
+        for a in (0.5, 1.5, 4.5):
+            size = _first_block(a, mval, DEFAULT_POLICY)
+            assert size % 2 == 0 and size < _SERIES_BLOCK // 8
+            assert series_s(a, mval).terms_used <= size
