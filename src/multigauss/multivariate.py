@@ -207,10 +207,8 @@ class MvMultiGauss:
         flat = np.atleast_1d(q).ravel()
         with np.errstate(invalid="ignore"):
             r = np.sqrt(np.maximum(flat, 0.0))
-        table = self._radial_table
-        out = table.below(r)
-        upper = out > 0.5
-        out[upper] = 1.0 - table.above(r[upper])
+        tail, upper = self._radial_table.smaller_tail(r)
+        out = np.where(upper, 1.0 - tail, tail)
         out[np.isnan(flat)] = np.nan
         return float(out[0]) if q.ndim == 0 else out.reshape(q.shape)
 

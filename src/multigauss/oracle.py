@@ -216,6 +216,16 @@ def integrate_cos_weighted(f, omega: float, lower: float, upper: float,
     return math.fsum(pieces)
 
 
+def _panel_nodes(edges: np.ndarray, order: int):
+    """Nodes and weights of an ``order``-point Gauss-Legendre rule on each panel between ``edges``."""
+    gl_x, gl_w = np.polynomial.legendre.leggauss(order)
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    halves = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mids[:, None] + halves[:, None] * gl_x[None, :]).ravel()
+    weights = (halves[:, None] * gl_w[None, :]).ravel()
+    return nodes, weights
+
+
 def integrate_2d_graded(f, center, half_width, panels_per_side: int = 40,
                         order: int = 8, grading: float = 3.0) -> float:
     """Tensor-product Gauss-Legendre quadrature over a centred square region.
@@ -226,19 +236,9 @@ def integrate_2d_graded(f, center, half_width, panels_per_side: int = 40,
     """
     cx, cy = float(center[0]), float(center[1])
     hx, hy = float(half_width[0]), float(half_width[1])
-    gl_x, gl_w = np.polynomial.legendre.leggauss(order)
-
-    def axis_nodes(c, h):
-        ts = (np.arange(panels_per_side + 1) / panels_per_side) ** grading
-        edges = np.concatenate((c - h * ts[::-1], c + h * ts[1:]))
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        halves = 0.5 * (edges[1:] - edges[:-1])
-        nodes = (mids[:, None] + halves[:, None] * gl_x[None, :]).ravel()
-        weights = (halves[:, None] * gl_w[None, :]).ravel()
-        return nodes, weights
-
-    nx, wx = axis_nodes(cx, hx)
-    ny, wy = axis_nodes(cy, hy)
+    ts = (np.arange(panels_per_side + 1) / panels_per_side) ** grading
+    nx, wx = _panel_nodes(np.concatenate((cx - hx * ts[::-1], cx + hx * ts[1:])), order)
+    ny, wy = _panel_nodes(np.concatenate((cy - hy * ts[::-1], cy + hy * ts[1:])), order)
     gx, gy = np.meshgrid(nx, ny, indexing="ij")
     vals = f(gx, gy)
     return float(wx @ vals @ wy)

@@ -1,4 +1,4 @@
-"""Alternating binomial series engine with compensated or correctly rounded summation.
+"""Alternating binomial series engine with exact or correctly rounded summation.
 
 Every normalization constant and moment coefficient in this package is a sum
 of the form
@@ -11,10 +11,12 @@ hazards live here:
 
 * For integer ``M`` the sum is finite (``m = 1..M``) but violently
   cancellation-prone: at ``M = 40`` the terms reach ``~1.4e11`` while the sum
-  is ``O(1)``, so naive accumulation loses about eleven digits.  Terms are
-  therefore formed as double-double products of the (exactly representable)
-  binomial coefficient and a double-double reciprocal root, and accumulated
-  with Neumaier summation.  The result stays accurate to a few ulp.
+  is ``O(1)``, so naive accumulation loses about eleven digits.  So the
+  terms, the exact products of the (exactly representable) binomial
+  coefficients and ``m^(-alpha)`` to one unit of ``2^-160``, are summed
+  exactly in Python integers as fixed point, and only the final quotient
+  rounds: for ``2 alpha`` a non-negative integer the value is correctly
+  rounded wherever the coefficients are exact (``M <= 54``).
 
 * For non-integer ``M`` the series is infinite with terms decaying like
   ``m^(-M-1-alpha)`` - much too slow to truncate at a few thousand terms when
@@ -23,7 +25,7 @@ hazards live here:
   Hurwitz zeta functions, which restores near machine precision at the
   default cap of 2000 terms.  The terms are formed in numpy, a block of up
   to 2048 at a time, and the kept terms and the tail are summed with the
-  correctly rounded ``math.fsum`` (no Neumaier summation on this path).
+  correctly rounded ``math.fsum``.
 
 The condition number ``sum |t_m| / |sum t_m|`` of every evaluation is
 reported so callers can judge how many digits survived the cancellation.
@@ -161,129 +163,59 @@ class SeriesResult:
 
 
 # ---------------------------------------------------------------------------
-# double-double building blocks
-#
-# Error-free transformations (Dekker/Veltkamp products, Neumaier sums).  A
-# "double-double" is an unevaluated pair (hi, lo) with |lo| <= ulp(hi)/2,
-# carrying ~32 significant digits.  Only used for integer-shape sums, where
-# the binomial coefficients are exact and cancellation is severe.
-# ---------------------------------------------------------------------------
-
-_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp splitter
-
-
-def _two_prod(a: float, b: float):
-    """Return (p, e) with p = fl(a*b) and p + e = a*b exactly."""
-    p = a * b
-    aa = _SPLIT * a
-    ahi = aa - (aa - a)
-    alo = a - ahi
-    bb = _SPLIT * b
-    bhi = bb - (bb - b)
-    blo = b - bhi
-    e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-    return p, e
-
-
-def _recip_sqrt_dd(m: int):
-    """1/sqrt(m) as a double-double, via one Newton step in exact arithmetic."""
-    r = 1.0 / math.sqrt(m)
-    p, pe = _two_prod(r, r)
-    q, qe = _two_prod(p, float(m))
-    e = (1.0 - q) - (qe + pe * m)
-    return r, 0.5 * r * e
-
-
-def _recip_dd(d: float):
-    """1/d as a double-double."""
-    q = 1.0 / d
-    p, pe = _two_prod(q, d)
-    e = (1.0 - p) - pe
-    return q, e * q
-
-
-def _dd_mul_f(hi: float, lo: float, f: float):
-    """(hi + lo) * f as a double-double; f need not be exact."""
-    p, pe = _two_prod(hi, f)
-    return p, pe + lo * f
-
-
-def _dd_div_f(hi: float, lo: float, d: float):
-    """(hi + lo) / d as a double-double."""
-    q1 = hi / d
-    p, pe = _two_prod(q1, d)
-    r = ((hi - p) - pe) + lo
-    return q1, r / d
-
-
-class _Neumaier:
-    """Compensated accumulator (Neumaier's improved Kahan summation)."""
-
-    __slots__ = ("s", "c")
-
-    def __init__(self):
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, x: float) -> None:
-        t = self.s + x
-        if abs(self.s) >= abs(x):
-            self.c += (self.s - t) + x
-        else:
-            self.c += (x - t) + self.s
-        self.s = t
-
-    def total(self) -> float:
-        return self.s + self.c
-
-
-# ---------------------------------------------------------------------------
 # binomial coefficients
 # ---------------------------------------------------------------------------
+
+#: Largest integer shape whose binomial coefficients the incremental product
+#: ``b (M - m + 1) / m`` forms exactly: from ``M = 55`` the intermediate
+#: ``b (M - m + 1)`` passes ``2^53`` and rounds.
+EXACT_COEFF_LIMIT = 54
+
+
+def _coeff_products(v: float, n: int) -> list[float]:
+    """``(v)_m / m!`` for ``m = 1..n`` by the incremental product ``b_m = b_{m-1} (v - m + 1) / m``.
+
+    No intermediate factorial can overflow, even at ``m = 10000``.  For an
+    integer ``v`` up to `EXACT_COEFF_LIMIT` every product is exact.
+    """
+    out = []
+    b = 1.0
+    for m in range(1, n + 1):
+        b = b * (v - m + 1) / m
+        out.append(b)
+    return out
+
 
 def binom_coeff(m_shape, m: int) -> float:
     """Generalized binomial coefficient ``(M)_m / m!``.
 
-    Computed by the incremental ratio ``b_m = b_{m-1} (M - m + 1) / m`` so no
-    intermediate factorial can overflow, even at ``m = 10000``.  For integer
-    shapes the result is exact whenever it is exactly representable (so up to
-    at least ``M = 40``) and exactly ``0.0`` for ``m > M``.
+    Computed by `_coeff_products`, so for integer shapes the result is exact
+    up to ``M = EXACT_COEFF_LIMIT`` and exactly ``0.0`` for ``m > M``.
     """
     shape = ShapeParam.of(m_shape)
     if not (isinstance(m, (int, np.integer)) and m >= 1):
         raise ValueError(f"m must be a positive integer, got {m!r}")
-    if shape.is_integer:
-        mi = shape.int_value
-        if m > mi:
-            return 0.0
-        v = float(mi)
-    else:
-        v = shape.value
-    b = 1.0
-    for i in range(1, m + 1):
-        b = b * (v - i + 1) / i
-    return b
+    if not shape.is_integer:
+        return _coeff_products(shape.value, m)[-1]
+    mi = shape.int_value
+    return _coeff_products(float(mi), m)[-1] if m <= mi else 0.0
 
 
 def signed_coeffs(m_shape, n: int) -> np.ndarray:
     """Array of ``C(M, m) (-1)^(m-1)`` for ``m = 1..n``.
 
     For integer shapes the array is truncated at ``m = M`` (later entries
-    would be exact zeros).  Fractional coefficients come from a cumulative
-    product of ratios, adequate for the weighted sums they feed.
+    would be exact zeros) and holds the bits of `binom_coeff`.  Fractional
+    coefficients come from a cumulative product of ratios, adequate for the
+    weighted sums they feed.
     """
     shape = ShapeParam.of(m_shape)
     if n < 1:
         raise ValueError("n must be >= 1")
     if shape.is_integer:
         mi = shape.int_value
-        n = min(n, mi)
-        out = np.empty(n)
-        b = 1.0
-        v = float(mi)
-        for m in range(1, n + 1):
-            b = b * (v - m + 1) / m
-            out[m - 1] = b if (m % 2 == 1) else -b
+        out = np.array(_coeff_products(float(mi), min(n, mi)))
+        out[1::2] = -out[1::2]
         return out
     ms = np.arange(1.0, n + 1.0)
     ratios = (shape.value - ms + 1.0) / ms
@@ -362,53 +294,42 @@ def series_tail(alpha: float, m_shape, n_summed: int):
 # the series itself
 # ---------------------------------------------------------------------------
 
-def _half_integer_order(alpha: float):
-    """Return integer j >= 0 with alpha = j + 1/2, or None."""
-    j = round(alpha - 0.5)
-    if j >= 0 and abs(alpha - (j + 0.5)) <= 1e-12:
-        return j
-    return None
-
-
-def _integer_order(alpha: float):
-    j = round(alpha)
-    if j >= 0 and abs(alpha - j) <= 1e-12:
-        return j
-    return None
+#: Fraction bits of the fixed-point integer sum of an integer-shape series.
+_FIX_BITS = 160
 
 
 def _series_integer(alpha: float, shape: ShapeParam) -> SeriesResult:
+    """The finite sum of an integer shape in ``2^-_FIX_BITS`` fixed point, rounded once.
+
+    ``m^-alpha`` is an integer square root where ``2 alpha`` is a
+    non-negative integer and the float ``m ** -alpha`` otherwise.  A
+    coefficient, power or sum beyond the float range, or a NaN order, gives NaN.
+    """
     mi = shape.int_value
-    v = float(mi)
-    acc = _Neumaier()
-    abs_acc = _Neumaier()
-    half = _half_integer_order(alpha)
-    whole = _integer_order(alpha) if half is None else None
-    b = 1.0
-    for m in range(1, mi + 1):
-        b = b * (v - m + 1) / m  # exact while representable
-        sign = 1.0 if (m % 2 == 1) else -1.0
-        if half is not None:
-            hi, lo = _recip_sqrt_dd(m)
-            hi, lo = _dd_mul_f(hi, lo, b)
-            if half:
-                hi, lo = _dd_div_f(hi, lo, float(m) ** half)
-        elif whole is not None:
-            if whole:
-                hi, lo = _recip_dd(float(m) ** whole)
-                hi, lo = _dd_mul_f(hi, lo, b)
-            else:
-                hi, lo = b, 0.0
-        else:
-            hi, lo = b * m ** (-alpha), 0.0
-        acc.add(sign * hi)
-        acc.add(sign * lo)
-        abs_acc.add(abs(hi))
-        abs_acc.add(abs(lo) if hi >= 0 else -abs(lo))
-    value = acc.total()
-    abs_sum = abs(abs_acc.total())
-    cond = abs_sum / abs(value) if value != 0.0 else math.inf
-    return SeriesResult(value, mi, max(cond, 1.0), TruncationFlag.EXACT)
+    k = 2.0 * alpha
+    if k >= 0.0 and k.is_integer():
+        # isqrt(floor(2^2F / m^k)) = floor(2^F m^-alpha); for m >= 2, m^(2F+1)
+        # already exceeds 2^2F, which bounds the size of the power
+        k = min(int(k), 2 * _FIX_BITS + 1)
+
+        def power(m):
+            return math.isqrt((1 << 2 * _FIX_BITS) // m ** k)
+    else:
+        def power(m):
+            num, den = (m ** -alpha).as_integer_ratio()
+            return (num << _FIX_BITS) // den
+    total = abs_total = 0
+    try:
+        for m, b in enumerate(_coeff_products(float(mi), mi), 1):
+            num, den = b.as_integer_ratio()
+            term = num * power(m) // den
+            total += term if m % 2 else -term
+            abs_total += term  # every C(M, m) of an integer M is positive
+        value = total / (1 << _FIX_BITS)
+        cond = abs_total / abs(total) if total else math.inf
+    except (OverflowError, ValueError):
+        return SeriesResult(math.nan, mi, math.nan, TruncationFlag.EXACT)
+    return SeriesResult(value, mi, cond, TruncationFlag.EXACT)
 
 
 #: Terms the fractional series forms per numpy pass after a first block
@@ -492,11 +413,13 @@ def series_s(alpha: float, m_shape, policy: TruncationPolicy | None = None) -> S
     """Evaluate ``S(alpha; M) = sum_{m>=1} C(M,m) (-1)^(m-1) m^(-alpha)``.
 
     The family's normalization constant is ``S(1/2; M)`` and the n-th moment
-    coefficient is ``S(n + 1/2; M)``.  Integer shapes give the exact finite
-    sum (compensated, double-double terms for integer and half-integer
-    ``alpha``); fractional shapes are truncated per ``policy`` and completed
-    with the analytic Hurwitz-zeta tail.  The series converges only for
-    ``alpha > -M``; outside that range the result carries ``CAP_HIT``.
+    coefficient is ``S(n + 1/2; M)``.  Integer shapes give the finite sum,
+    taken exactly in fixed-point integers and rounded once (``m^(-alpha)``
+    is exact to ``2^-160`` where ``2 alpha`` is a non-negative integer, and
+    a rounded float otherwise); fractional shapes are truncated per
+    ``policy`` and completed with the analytic Hurwitz-zeta tail.  The
+    series converges only for ``alpha > -M``; outside that range the result
+    carries ``CAP_HIT``.
     """
     shape = ShapeParam.of(m_shape)
     alpha = float(alpha)
@@ -507,18 +430,13 @@ def series_s(alpha: float, m_shape, policy: TruncationPolicy | None = None) -> S
     return _series_fractional(alpha, shape, policy)
 
 
-#: Largest integer shape whose binomial coefficients the incremental product
-#: ``b (M - m + 1) / m`` forms exactly: from ``M = 55`` the intermediate
-#: ``b (M - m + 1)`` passes ``2^53`` and rounds.
-EXACT_COEFF_LIMIT = 54
-
-
 def check_normalization(result: SeriesResult, shape: ShapeParam, what: str,
                         exact_limit: int = EXACT_COEFF_LIMIT) -> None:
     """Raise :class:`SeriesNotConverged` unless a normalization kept its digits.
 
-    Integer shapes up to ``exact_limit`` sum exact double-double terms, so
-    only their last rounding counts; any other shape loses about
+    Integer shapes up to ``exact_limit`` sum exact terms in fixed point (at
+    the half-integer and integer orders every caller uses), so only their
+    last rounding counts; any other shape loses about
     ``log10(condition_number)`` digits of plain float precision.  A value
     whose estimated relative error exceeds 1e-3, or that is not finite,
     retains no significant digits.
@@ -537,7 +455,7 @@ def xi_coeff(n: int, m_shape, policy: TruncationPolicy | None = None) -> float:
     """Moment coefficient ratio ``S(n + 1/2; M) / S(1/2; M)``.
 
     ``xi_0`` is identically 1.  Raises :class:`SeriesNotConverged` when
-    either series reports ``CAP_HIT``.
+    either series reports ``CAP_HIT`` or `check_normalization` rejects it.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 0):
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
@@ -552,4 +470,5 @@ def xi_coeff(n: int, m_shape, policy: TruncationPolicy | None = None) -> float:
                 f"{label} did not converge for M={shape.value} "
                 f"(condition number {res.condition_number:.3g})"
             )
+        check_normalization(res, shape, label)
     return num.value / den.value

@@ -370,6 +370,23 @@ class _CdfTable:
             lambda a, k: (self._head[k - 1] + self._legendre_integral(_CDF_EDGES[k - 1], a))
             * scale)
 
+    def smaller_tail(self, r: np.ndarray):
+        """The smaller of ``P(R <= r)`` and ``P(R > r)`` at a 1-D array ``r >= 0``.
+
+        Returns the masses and a mask of the points that took ``P(R > r)``.
+        A radius from `median_edge` on takes the upper tail alone; only the
+        others integrate `below` to learn which tail is smaller.  NaN and
+        radii beyond the reach give the upper tail's 0.
+        """
+        upper = r >= self.median_edge
+        lower = np.flatnonzero(~upper)
+        below = self.below(r[lower])
+        upper[lower[below > 0.5]] = True
+        tail = np.empty_like(r)
+        tail[lower] = below
+        tail[upper] = self.above(r[upper])
+        return tail, upper
+
     def mass_bounds(self, r: np.ndarray):
         """Bounds on ``P(R <= r)`` and ``P(R > r)`` for a 1-D array ``r >= 0``.
 
@@ -479,19 +496,11 @@ def _pchip_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _radial_score(table: _CdfTable, r: np.ndarray) -> np.ndarray:
-    """Gaussian score of the radial CDF at ``r``, from whichever tail is smaller.
-
-    A radius from the table's `median_edge` on takes the upper tail alone;
-    only the others integrate ``below`` to learn which tail is smaller.
-    """
-    upper = r >= table.median_edge
-    lower = np.flatnonzero(~upper)
-    below = table.below(r[lower])
-    upper[lower[below > 0.5]] = True
-    score = np.empty_like(r)
+    """Gaussian score of the radial CDF at ``r``, from the table's `smaller_tail`."""
+    tail, upper = table.smaller_tail(r)
     with np.errstate(divide="ignore"):
-        score[lower] = _ndtri(below)
-        score[upper] = -_ndtri(table.above(r[upper]))
+        score = _ndtri(tail)
+    score[upper] = -score[upper]
     return score
 
 

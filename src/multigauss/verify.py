@@ -19,6 +19,7 @@ from .multivariate import BivariateParams, MvMultiGauss, bivariate_pdf
 from .oracle import (
     OracleReport,
     QuadratureSpec,
+    _panel_nodes,
     finite_diff,
     gaussian_cdf,
     gaussian_pdf,
@@ -313,17 +314,8 @@ def _chi2_gof(mv: MvMultiGauss, n: int, seed: int, bins: int = 20, reach: float 
     ey = mv.mean[1] + s2 * np.linspace(-reach, reach, bins + 1)
     counts, _, _ = np.histogram2d(pts[:, 0], pts[:, 1], bins=[ex, ey])
     # per-cell probabilities with a 6-point tensor rule per cell
-    gl_x, gl_w = np.polynomial.legendre.leggauss(6)
-
-    def axis_nodes(edges):
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        halves = 0.5 * (edges[1:] - edges[:-1])
-        nodes = (mids[:, None] + halves[:, None] * gl_x[None, :]).ravel()
-        weights = (halves[:, None] * gl_w[None, :]).ravel()
-        return nodes, weights
-
-    nx, wx = axis_nodes(ex)
-    ny, wy = axis_nodes(ey)
+    nx, wx = _panel_nodes(ex, 6)
+    ny, wy = _panel_nodes(ey, 6)
     gx, gy = np.meshgrid(nx, ny, indexing="ij")
     vals = mv.pdf(np.stack([gx.ravel(), gy.ravel()], axis=1)).reshape(gx.shape)
     block = vals * wx[:, None] * wy[None, :]

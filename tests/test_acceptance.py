@@ -8,6 +8,7 @@ their runtime budgets.
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -161,24 +162,16 @@ def test_criterion_06_quantile_round_trip():
 def _series_pdf(d: MultiGauss, x: float):
     """Density of an integer shape by its alternating Gaussian series.
 
-    Returns ``(value, condition number)``; each term is a double-double
-    product of the exact binomial coefficient and ``e^(-m w)``, summed with
-    Neumaier compensation.
+    Returns ``(value, condition number)``; each term is the exact product of
+    the exact binomial coefficient and the float ``e^(-m w)``, and the terms
+    are summed exactly as fractions.
     """
-    from multigauss.series import _Neumaier, _two_prod
-
     w = 0.5 * ((x - d.mu) / d.sigma) ** 2
-    acc, abs_acc = _Neumaier(), _Neumaier()
-    b, v = 1.0, float(d.shape.int_value)
-    for m in range(1, d.shape.int_value + 1):
-        b = b * (v - m + 1) / m
-        hi, lo = _two_prod(b, math.exp(-m * w))
-        sign = 1.0 if m % 2 == 1 else -1.0
-        for part in (hi, lo):
-            acc.add(sign * part)
-            abs_acc.add(part)
-    value = acc.total() / (d.c0 * SQRT_2PI * d.sigma)
-    return value, max(abs(abs_acc.total()) / abs(acc.total()), 1.0)
+    mi = d.shape.int_value
+    terms = [Fraction(math.comb(mi, m)) * Fraction(math.exp(-m * w)) for m in range(1, mi + 1)]
+    total = sum(t if m % 2 else -t for m, t in enumerate(terms, 1))
+    value = float(total) / (d.c0 * SQRT_2PI * d.sigma)
+    return value, max(float(sum(terms) / abs(total)), 1.0)
 
 
 def test_criterion_07_series_vs_closed_form():

@@ -151,3 +151,30 @@ def test_cusped_sampler_matches_the_scale_mixture(mval):
     ref = _mixture_draws(mval, 0.5, 2.0, n, np.random.default_rng(32))
     # two one-sample DKW bounds at false-alarm rate 0.5e-6 each
     assert _two_sample_gap(got, ref) <= 2.0 * math.sqrt(math.log(4.0 / 1e-6) / (2.0 * n))
+
+
+@pytest.mark.parametrize("mval", (1, 10, 54, 0.025, 0.5, 2.5))
+@pytest.mark.parametrize("dim", (1, 3))
+def test_smaller_tail_is_the_two_pass_choice(mval, dim):
+    # the two-pass form: `below` everywhere, then `above` wherever below > 1/2
+    from multigauss.series import ShapeParam
+    from multigauss.univariate import _CDF_REACH, _CdfTable
+
+    table = _CdfTable(ShapeParam(mval), dim)
+    edge = table.median_edge
+    r = np.concatenate((
+        np.linspace(0.0, 0.3, 9),                          # the mode band
+        edge + np.array([-0.2, -1e-9, 0.0, 1e-9, 0.2]),    # next to the median
+        np.linspace(0.3, _CDF_REACH, 200),                 # out to the far tail
+        _CDF_REACH + np.array([0.0, 1.0, 1e3]), [np.inf],  # beyond the reach
+        [np.nan],
+    ))
+    below = table.below(r)
+    upper = below > 0.5
+    expected = below.copy()
+    expected[upper] = table.above(r[upper])
+    tail, took_upper = table.smaller_tail(r)
+    np.testing.assert_array_equal(took_upper, upper)
+    assert tail.tobytes() == expected.tobytes()
+    # the median lies inside the table, so both branches are exercised
+    assert upper.any() and not upper.all()

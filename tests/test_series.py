@@ -122,7 +122,7 @@ class TestSeriesSum:
 
     def test_large_shape_compensated_accuracy(self):
         # condition number ~1e11 would leave ~1e-5 relative error with naive
-        # float accumulation; the compensated double-double path keeps 1e-13.
+        # float accumulation; the exact fixed-point integer sum keeps 1e-13.
         r = series_s(0.5, 40)
         assert 1e10 < r.condition_number < 1e12
         assert r.value == pytest.approx(C0_REF[40], rel=1e-13, abs=0)
@@ -201,6 +201,19 @@ class TestXiCoeff:
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             xi_coeff(-1, 2)
+
+    @pytest.mark.parametrize("mval", [47.5, 48.5, 100.5, 170.5, 171.5, 300.5, 55, 56, 57])
+    def test_raises_where_the_series_keeps_no_digits(self, mval):
+        # the series cancel to noise here (a negative variance ratio at
+        # M = 100.5); from M = 55 the rounded coefficients put it off by ~1e-2
+        with pytest.raises(SeriesNotConverged):
+            xi_coeff(1, mval)
+
+    @pytest.mark.parametrize("mval", [1, 2, 10, 40, 54, 0.5, 2.5, 12.378584])
+    def test_is_the_ratio_of_the_two_series(self, mval):
+        for n in (1, 2, 3, 4):
+            ratio = series_s(n + 0.5, mval).value / series_s(0.5, mval).value
+            assert xi_coeff(n, mval) == ratio
 
 
 class TestTailReflectionUnderflow:
@@ -337,3 +350,63 @@ class TestFractionalSeries:
             size = _first_block(a, mval, DEFAULT_POLICY)
             assert size % 2 == 0 and size < _SERIES_BLOCK // 8
             assert series_s(a, mval).terms_used <= size
+
+
+@pytest.fixture(scope="module")
+def integer_refs():
+    """``S(k/2; M)`` for ``k = 1..12``, ``M = 1..54`` at 60 digits, with exact binomials."""
+    mpmath = pytest.importorskip("mpmath")
+    refs = {}
+    with mpmath.workdps(60):
+        for mval in range(1, 55):
+            for k in range(1, 13):
+                a = mpmath.mpf(k) / 2
+                refs[k, mval] = float(mpmath.fsum(
+                    (-1) ** (m - 1) * math.comb(mval, m) * mpmath.power(m, -a)
+                    for m in range(1, mval + 1)))
+    return refs
+
+
+class TestIntegerSeries:
+    def test_half_integer_orders_are_correctly_rounded(self, integer_refs):
+        for (k, mval), ref in integer_refs.items():
+            assert series_s(k / 2, mval).value == ref, (k, mval)
+
+    @pytest.mark.parametrize("mval", [55, 56, 57])
+    def test_rounded_coefficients_keep_their_bits(self, mval):
+        # from M = 55 the float product of the coefficients rounds; the sum is
+        # exact over those rounded coefficients, not over the true binomials
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            ref = float(mpmath.fsum(
+                (-1) ** (m - 1) * mpmath.mpf(binom_coeff(mval, m)) * mpmath.power(m, -0.5)
+                for m in range(1, mval + 1)))
+        assert series_s(0.5, mval).value == ref
+        assert any(binom_coeff(mval, m) != math.comb(mval, m) for m in range(1, mval + 1))
+
+    def test_coefficients_share_one_product(self):
+        for mval in (1, 10, 54, 55, 57):
+            coeffs = signed_coeffs(mval, 100)
+            assert coeffs.size == mval
+            for m, c in enumerate(coeffs, 1):
+                assert c == (-1) ** (m - 1) * binom_coeff(mval, m)
+
+    def test_exact_cancellation_gives_zero(self):
+        # sum_m C(M, m) (-1)^(m-1) m^3 vanishes for M > 3
+        for mval in (4, 10, 54):
+            r = series_s(-3.0, mval)
+            assert r.value == 0.0 and r.condition_number == math.inf
+
+    def test_high_orders_leave_the_first_term(self):
+        # m^(-alpha) falls below 2^-160 from m = 2 on
+        for alpha in (1e6, 1e6 + 0.5, 1e6 + 0.25):
+            r = series_s(alpha, 40)
+            assert r.value == 40.0 and r.condition_number == 1.0
+
+    @pytest.mark.parametrize("alpha,mval", [(-400.0, 40), (0.5, 1100), (math.nan, 5)])
+    def test_out_of_range_is_nan_without_warnings(self, alpha, mval):
+        # a power, a coefficient or the sum beyond the float range, or a NaN order
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = series_s(alpha, mval)
+        assert math.isnan(r.value) and r.truncation_flag is TruncationFlag.EXACT
