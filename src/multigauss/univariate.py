@@ -34,7 +34,7 @@ import math
 from functools import cached_property
 
 import numpy as np
-from scipy.special import beta as _beta, betaln as _betaln, erfc, eval_jacobi, ndtri as _ndtri
+from scipy.special import beta as _beta, betaln as _betaln, erfc, eval_jacobi
 
 from .series import (
     EXACT_COEFF_LIMIT,
@@ -269,15 +269,18 @@ class _CdfTable:
         self._dim = dim
         # the weight is taken as (s/unit)^(dim-1), which stays finite over the reach
         self._unit = math.sqrt(dim - 1.0) if dim > 2 else 1.0
-        xg, wg = _roots_jacobi(_GJ_ORDER, 0.0, 2.0 * shape.value + (dim - 1))
-        self._gj_nodes = 0.5 * (1.0 + xg)
-        self._gj_weights = wg
         panels = self._legendre_integral(_CDF_EDGES[1:-1], _CDF_EDGES[2:])
-        band = self._band_integral(np.array([_CDF_BAND]))[0]
+        # past 2M + N ~ 1030 the Jacobi rule's mass overflows and the band's
+        # mass is NaN, which the reach check below rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            xg, wg = _roots_jacobi(_GJ_ORDER, 0.0, 2.0 * shape.value + (dim - 1))
+            self._gj_nodes = 0.5 * (1.0 + xg)
+            self._gj_weights = wg
+            band = self._band_integral(np.array([_CDF_BAND]))[0]
         tail = np.zeros(_CDF_EDGES.size)
         tail[1:-1] = np.cumsum(panels[::-1])[::-1]
         tail[0] = tail[1] + band
-        if tail[_CDF_EDGES.searchsorted(_CDF_REACH - 4.0)] > 1e-16 * tail[0]:
+        if not tail[_CDF_EDGES.searchsorted(_CDF_REACH - 4.0)] <= 1e-16 * tail[0]:
             # the profile underflows past ~38.6: the law must end well inside
             raise ValueError(f"the radial law in {dim} dimensions reaches beyond the table")
         self._tail = tail
@@ -436,18 +439,44 @@ class _CdfTable:
         return self.expectation_rule(tail=_CF_TAIL)
 
 
-#: Nodes of the radial inverse: radii on a uniform grid of Gaussian scores.
+def _tail_roots(p: np.ndarray):
+    """``a = sqrt(-2 log p)`` and ``b = sqrt(-2 log(1 - p))`` for an array of masses in [0, 1]."""
+    with np.errstate(divide="ignore"):
+        a = np.log(p)
+        b = np.negative(p)
+        np.log1p(b, out=b)
+    a *= -2.0
+    b *= -2.0
+    return np.sqrt(a, out=a), np.sqrt(b, out=b)
+
+
+def _log_tail_score(p: np.ndarray) -> np.ndarray:
+    """Log-tail score ``sqrt(-2 log p) - sqrt(-2 log(1 - p))`` of an array of tail masses.
+
+    It stands in for the Gaussian score of the tail: it tends to
+    ``sqrt(-2 log p)`` as ``p -> 0``, so both tails keep their relative
+    precision, and it is odd about ``p = 1/2`` and analytic across it, so
+    either tail of a law may be taken.  ``+inf`` at ``p = 0``, ``-inf`` at
+    ``p = 1``.
+    """
+    a, b = _tail_roots(p)
+    a -= b
+    return a
+
+
+#: Nodes of the radial inverse: radii on a uniform grid of log-tail scores.
 _INVERSE_NODES = 801
 
 #: Scores per block of `_RadialInverse.radius`.
 _RADIUS_BLOCK = 8192
 
-#: Largest |score| the radial inverse's grid reaches: a float generator's
-#: uniforms lie within [2^-53, 1 - 2^-53], whose scores are below 8.3.
-_SCORE_REACH = 8.5
+#: Largest |score| the radial inverse's grid reaches, about 8.854: the score
+#: of the Gaussian tail beyond 8.5, ~9.5e-18.  A float generator's nonzero
+#: uniforms, multiples of 2^-53, have scores below 8.6.
+_SCORE_REACH = float(_log_tail_score(np.array([0.5 * erfc(8.5 * math.sqrt(0.5))]))[0])
 
-#: About the mass of a Gaussian tail beyond the score 9, far outside
-#: `_SCORE_REACH`: the inverse's coarse pass skips radii with less.
+#: About the tail mass of the score 9.35, far outside `_SCORE_REACH`: the
+#: inverse's coarse pass skips radii with less.
 _FAR_MASS = 1e-19
 
 #: Coarse radii at which the radial score is computed once per inverse to
@@ -496,37 +525,49 @@ def _pchip_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _radial_score(table: _CdfTable, r: np.ndarray) -> np.ndarray:
-    """Gaussian score of the radial CDF at ``r``, from the table's `smaller_tail`."""
+    """Log-tail score of the radial CDF at ``r``, negative below the median.
+
+    `_log_tail_score` of the table's `smaller_tail`, negated where that is
+    ``P(R <= r)``: ``sqrt(-2 log(1 - F)) - sqrt(-2 log F)`` with ``F`` the
+    radial CDF, increasing in ``r`` and analytic across the median.
+    """
     tail, upper = table.smaller_tail(r)
-    with np.errstate(divide="ignore"):
-        score = _ndtri(tail)
-    score[upper] = -score[upper]
-    return score
+    score = _log_tail_score(tail)
+    return np.negative(score, out=score, where=~upper)
 
 
 def _score_step(table: _CdfTable, log_r: np.ndarray, score: np.ndarray) -> np.ndarray:
     """Newton step in ``log r`` from the radial score at ``r`` to ``score``.
 
-    Subtract it from ``log r``: ``d score / d log r = r density(r) / phi(score)``.
+    Subtract it from ``log r``.  With ``p`` the smaller tail at ``r`` and
+    ``a, b`` its `_tail_roots`, ``d score / d r = density(r) (1/(p a) +
+    1/((1 - p) b))``, taken as ``density / (p a)`` times ``1 + p a / ((1 - p)
+    b)`` so that no factor overflows far out.
     """
     r = np.exp(log_r)
-    s = _radial_score(table, r)
-    return (s - score) * np.exp(-0.5 * s * s) / (_SQRT_2PI * r * table.density(r))
+    tail, upper = table.smaller_tail(r)
+    a, b = _tail_roots(tail)
+    s = np.subtract(a, b)
+    np.negative(s, out=s, where=~upper)
+    pa = tail * a
+    return (s - score) * pa / (r * table.density(r) * (1.0 + pa / ((1.0 - tail) * b)))
 
 
 class _RadialInverse:
-    """Inverse of a table's radial CDF: the radius at a Gaussian score.
+    """Inverse of a table's radial CDF: the radius at a log-tail score.
 
-    The score is ``ndtri(P(R <= r))`` below the median and
-    ``-ndtri(P(R > r))`` above it, so both tails keep their relative
-    precision.  The inverse is the PCHIP interpolant of ``r`` on a uniform
-    grid of `_INVERSE_NODES` scores over ``|score| <= 8.5``.  A coarse pass
-    over `_RADIUS_CANDIDATES` gives each grid score a first radius, and two
+    The score is `_radial_score`, ``sqrt(-2 log p) - sqrt(-2 log(1 - p))``
+    of the smaller tail ``p``, negated below the median, so both tails keep
+    their relative precision and no draw needs the Gaussian quantile.  The
+    inverse is the PCHIP interpolant of ``r`` on a uniform grid of
+    `_INVERSE_NODES` scores over ``|score| <= 8.854`` (`_SCORE_REACH`, the
+    radii of the Gaussian scores ``|z| <= 8.5``).  A coarse pass over
+    `_RADIUS_CANDIDATES` gives each grid score a first radius, and two
     Newton steps (`_score_step`) move it onto the score.  The coarse pass
     skips the candidates that `_CdfTable.mass_bounds` puts beyond a score
-    of 9 (mass below `_FAR_MASS`), except the one next to the grid on each
-    side, so the interpolation between the rest has the bits of a pass over
-    every candidate.  Immutable.
+    of 9.35 (mass below `_FAR_MASS`), except the one next to the grid on
+    each side, so the interpolation between the rest has the bits of a pass
+    over every candidate.  Immutable.
     """
 
     def __init__(self, table: _CdfTable):
@@ -545,19 +586,25 @@ class _RadialInverse:
         self.grid = grid
         self._coeffs = _pchip_coeffs(grid, np.exp(log_r))
 
-    def radius(self, score: np.ndarray) -> np.ndarray:
-        """Radius at each of the 1-D array's Gaussian scores, clipped to the grid.
+    def radius(self, values: np.ndarray, tail: bool = False, out: np.ndarray | None = None):
+        """Radius at each of the 1-D array's scores, clipped to the grid.
 
-        The grid is uniform, so the cubic piece holding each score is found
-        by arithmetic rather than by binary search.  The scores are taken in
-        blocks of `_RADIUS_BLOCK`, so the temporaries stay small and cached.
+        With ``tail`` the values are upper tails ``P(R > r)`` instead, and
+        each block's `_log_tail_score` is computed in the block, so no array
+        of scores as long as the input is made; ``out`` may then be the
+        input itself.  The grid is uniform, so the cubic piece holding each
+        score is found by arithmetic rather than by binary search.  The
+        values are taken in blocks of `_RADIUS_BLOCK`, so the temporaries
+        stay small and cached.
         """
         grid, coeffs = self.grid, self._coeffs
         lo, hi = grid[0], grid[-1]
         per_piece = (grid.size - 1) / (hi - lo)
-        out = np.empty_like(score)
-        for start in range(0, score.size, _RADIUS_BLOCK):
-            t = np.clip(score[start:start + _RADIUS_BLOCK], lo, hi)
+        if out is None:
+            out = np.empty_like(values)
+        for start in range(0, values.size, _RADIUS_BLOCK):
+            blk = values[start:start + _RADIUS_BLOCK]
+            t = np.clip(_log_tail_score(blk) if tail else blk, lo, hi)
             row = np.subtract(t, lo)
             row *= per_piece
             k = row.astype(np.intp)
@@ -578,10 +625,13 @@ def _radial_draw(n: int, rng, dim: int, inverse: _RadialInverse | None) -> np.nd
     by inverse-CDF sampling, or ``None`` for the Gaussian shape ``M = 1``,
     whose points are one block of standard normals.  In one dimension one
     block of uniforms ``u`` gives both factors: ``D`` is the sign of
-    ``u - 1/2`` and ``R`` the radius at the score ``-ndtri(2 min(u, 1 - u))``,
+    ``u - 1/2`` and ``R`` the radius of the upper tail ``2 min(u, 1 - u)``,
     the unpolished `MultiGauss.quantile` of ``u``.  In more dimensions
     ``D = Z/|Z|`` is uniform on the sphere: one block of standard normals
-    gives the directions, then one block of uniforms the radii.
+    gives the directions, then one block of uniforms the radii, ``R`` that
+    of the upper tail ``1 - u``.  The radii are looked up at the tails'
+    log-tail scores, computed block by block; a uniform of 0 gives the
+    radius at an end of the inverse's grid.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -592,13 +642,10 @@ def _radial_draw(n: int, rng, dim: int, inverse: _RadialInverse | None) -> np.nd
         return rng.standard_normal((n, dim))
     if dim == 1:
         u = rng.random(n)
-        score = np.subtract(1.0, u)
-        np.minimum(u, score, out=score)
-        score *= 2.0  # the tail 2 min(u, 1 - u), then its score
-        with np.errstate(divide="ignore"):
-            _ndtri(score, out=score)
-        np.negative(score, out=score)
-        radius = inverse.radius(score)
+        tail = np.subtract(1.0, u)
+        np.minimum(u, tail, out=tail)
+        tail *= 2.0
+        radius = inverse.radius(tail, tail=True, out=tail)
         u -= 0.5
         return np.copysign(radius, u, out=radius)[:, None]
     z = rng.standard_normal((n, dim))
@@ -607,8 +654,7 @@ def _radial_draw(n: int, rng, dim: int, inverse: _RadialInverse | None) -> np.nd
     z[zero, 0] = 1.0  # a zero direction (probability ~0) becomes e_1
     norm[zero] = 1.0
     u = rng.random(n)
-    with np.errstate(divide="ignore"):
-        radius = inverse.radius(_ndtri(u, out=u))
+    radius = inverse.radius(np.subtract(1.0, u, out=u), tail=True, out=u)
     radius /= norm
     z *= radius[:, None]
     return z
@@ -892,12 +938,14 @@ class MultiGauss:
         or an array of levels ``u`` strictly inside (0, 1).
 
         ``x = mu -+ sigma r`` with ``P(|U| > r) = 2 min(u, 1 - u)``: the
-        radial inverse gives ``r`` at that tail's Gaussian score (beyond its
-        grid ``r^2 - score^2`` keeps its value at the grid's end), and the
-        Newton step in ``log r`` that places the inverse's nodes polishes it,
-        so the tails keep their relative precision down to ~1e-305.  Each
-        level is solved on its own: a scalar gives the array's bits, as a
-        ``float``.
+        radial inverse gives ``r`` at that tail's log-tail score
+        ``sqrt(-2 log p) - sqrt(-2 log(1 - p))`` (beyond its grid, where
+        ``p ~ e^(-r^2/2) / r`` and the score is all but ``sqrt(-2 log p)``,
+        ``r^2 + log r^2 - score^2`` keeps its value at the grid's end), and
+        the Newton step in ``log r`` that places the inverse's nodes
+        polishes it, so the tails keep their relative precision down to
+        ~1e-305.  Each level is solved on its own: a scalar gives the
+        array's bits, as a ``float``.
         """
         levels = np.asarray(u, dtype=float)
         p = levels.ravel()
@@ -906,12 +954,16 @@ class MultiGauss:
             raise ValueError(
                 f"quantile level must lie strictly in (0, 1), got {float(p[bad][0])!r}")
         inverse = self._inverse
-        with np.errstate(divide="ignore"):
-            score = -_ndtri(2.0 * np.minimum(p, 1.0 - p))  # -inf at the median
+        score = _log_tail_score(2.0 * np.minimum(p, 1.0 - p))  # -inf at the median
         r = inverse.radius(score)
         top = inverse.grid[-1:]
         far = score > top
-        r[far] = np.sqrt(score[far] ** 2 + (inverse.radius(top) ** 2 - top * top))
+        if far.any():
+            # far out p ~ e^(-r^2/2) / r, so r^2 + log r^2 - score^2 keeps its
+            # value at the grid's end: two fixed-point steps solve for r^2
+            r_top = inverse.radius(top) ** 2
+            w = score[far] ** 2 + (r_top + np.log(r_top) - top * top)
+            r[far] = np.sqrt(w - np.log(w - np.log(w)))
         log_r = np.log(r)
         log_reach = math.log(_CDF_REACH)
         todo = np.flatnonzero(p != 0.5)
@@ -933,8 +985,9 @@ class MultiGauss:
 
         One block of uniforms ``u`` gives both factors: the sign is that of
         ``u - 1/2`` and the radius ``R = |U|`` comes from the radial inverse
-        at the score of the tail ``2 min(u, 1 - u)``.  So each variate is the
-        `quantile` of its uniform without the Newton polish (interpolation
+        at the log-tail score of the tail ``2 min(u, 1 - u)``, computed
+        block by block with the lookup.  So each variate is the `quantile`
+        of its uniform without the Newton polish (interpolation
         error below ~1e-6 sigma, far inside every statistical tolerance): the
         one-dimensional case of the multivariate sampler.  At ``M = 1`` the
         output is exactly ``mu + sigma Z``.  Identical generator state yields

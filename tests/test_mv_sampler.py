@@ -8,18 +8,19 @@ import math
 import sys
 import threading
 import time
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import ndtr, ndtri, roots_jacobi
+from scipy.special import ndtr, roots_jacobi
 
 from multigauss import MvMultiGauss, SeriesNotConverged
 from multigauss.series import ShapeParam
 from multigauss.univariate import (
     _CDF_BAND, _CDF_EDGES, _CDF_REACH, _GJ_ORDER, _GL_NODES, _GL_WEIGHTS, _INVERSE_NODES,
-    _RADIUS_CANDIDATES, _SCORE_REACH, _CdfTable, _pchip_coeffs, _RadialInverse, _radial_score,
-    _score_step, mg_profile,
+    _RADIUS_CANDIDATES, _SCORE_REACH, _CdfTable, _log_tail_score, _pchip_coeffs, _RadialInverse,
+    _radial_score, _score_step, mg_profile,
 )
 
 SHAPES = (1e-3, 0.025, 0.5, 1, 2.5, 10, 40, 54)
@@ -120,14 +121,19 @@ def test_unit_dimension_table_keeps_its_bits(mval):
     np.testing.assert_array_equal(got, _unit_table_lower_tail(shape, au))
 
 
+def _tail_score_written_out(p):
+    """``sqrt(-2 log p) - sqrt(-2 log(1 - p))`` (NaN past 1)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.sqrt(-2.0 * np.log(p)) - np.sqrt(-2.0 * np.log1p(-p))
+
+
 def _both_tails_score(table, r):
     """The radial score as it was written before it took one tail past the
     median: ``below`` at every radius, then ``above`` where that exceeds 1/2."""
     below = table.below(r)
     upper = below > 0.5
-    with np.errstate(divide="ignore"):
-        score = ndtri(below)
-        score[upper] = -ndtri(table.above(r[upper]))
+    score = -_tail_score_written_out(below)
+    score[upper] = _tail_score_written_out(table.above(r[upper]))
     return score
 
 
@@ -193,7 +199,8 @@ def test_coarse_pass_keeps_the_inverse_bits_with_exact_bounds(monkeypatch, mval,
 
     table = _CdfTable(ShapeParam.of(mval), dim)
     want = _inverse_from_every_candidate(table)
-    monkeypatch.setattr(univariate, "_FAR_MASS", float(ndtr(-_SCORE_REACH)))
+    # the grid's reach is the score of the Gaussian tail beyond 8.5
+    monkeypatch.setattr(univariate, "_FAR_MASS", float(ndtr(-8.5)))
     monkeypatch.setattr(_CdfTable, "mass_bounds", lambda self, r: (self.below(r), self.above(r)))
     inverse = _RadialInverse(table)
     np.testing.assert_array_equal(inverse.grid, want[0])
@@ -212,6 +219,69 @@ def test_inverse_table_matches_bisection(mval, dim):
         below = _radial_score(table, mid) < scores
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     assert np.max(np.abs(inverse.radius(scores) - 0.5 * (lo + hi))) <= 1e-6
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3, 5, 9))
+@pytest.mark.parametrize("mval", (1e-3, 0.025, 0.5, 2.5, 40, 54))
+def test_inverse_matches_bisection_on_the_log_tail_score(mval, dim):
+    table = _CdfTable(ShapeParam.of(mval), dim)
+    inverse = _RadialInverse(table)
+    grid = inverse.grid
+    # the grid holds the score of every nonzero uniform, at most 8.572
+    assert grid[0] <= -8.58 and grid[-1] >= 8.58
+    scores = np.concatenate((
+        np.random.default_rng(12).uniform(grid[0], grid[-1], 400),
+        np.linspace(-0.05, 0.05, 21),  # next to the median
+        grid[:3], grid[-3:],           # at both ends of the grid
+    ))
+    lo, hi = np.zeros_like(scores), np.full_like(scores, _CDF_REACH)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = _radial_score(table, mid) < scores
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    assert np.max(np.abs(inverse.radius(scores) - 0.5 * (lo + hi))) <= 1e-6
+
+
+def test_log_tail_score_is_odd(monkeypatch):
+    p = np.concatenate((np.logspace(-300.0, math.log10(0.5), 400),
+                        [0.5, 0.25, 1e-17, 5e-324, 0.0]))
+    # one mass taken once as the upper tail and once as the lower tail
+    upper = np.repeat([True, False], p.size)
+    monkeypatch.setattr(_CdfTable, "smaller_tail", lambda self, r: (np.tile(p, 2), upper.copy()))
+    score = _radial_score(_CdfTable(ShapeParam.of(2.5), 1), np.zeros(2 * p.size))
+    np.testing.assert_array_equal(score[:p.size], -score[p.size:])
+    assert score[p.size - 5] == 0.0 and score[p.size - 1] == np.inf
+    assert np.all(np.diff(score[:400]) < 0.0)
+    # either tail of a law may be taken: the score of 1 - p is that of p, negated
+    half = p[(p >= 0.25) & (p <= 0.5)]
+    np.testing.assert_allclose(_log_tail_score(1.0 - half), -_log_tail_score(half),
+                               rtol=0.0, atol=1e-15)
+
+
+class _ZeroFirst(np.random.Generator):
+    """A generator whose first two uniforms of every call are exactly 0."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        u = super().random(size, dtype, out)
+        u[:2] = 0.0
+        return u
+
+
+@pytest.mark.parametrize("dim", (1, 3))
+def test_zero_uniform_draws_a_finite_point(dim):
+    mv = MvMultiGauss(np.zeros(dim), np.eye(dim), 2.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = mv.sample(5, _ZeroFirst(np.random.PCG64(4)))
+    assert np.all(np.isfinite(x))
+    # a uniform of 0 takes the radius at an end of the inverse's grid: the
+    # upper end in one dimension (tail 0), the lower end in more (tail 1)
+    inverse = mv._inverse
+    if dim == 1:
+        np.testing.assert_array_equal(x[:2, 0], -inverse.radius(inverse.grid[-1:])[0])
+    else:
+        np.testing.assert_allclose(np.linalg.norm(x[:2], axis=1),
+                                   inverse.radius(inverse.grid[:1])[0], rtol=1e-12)
 
 
 def _dkw(n, delta):
@@ -298,6 +368,20 @@ def test_dimension_beyond_the_table_raises():
     mv = MvMultiGauss(np.zeros(1000), np.eye(1000), 2.5)
     with pytest.raises(ValueError, match="beyond the table"):
         mv.sample(10, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("dim,mval", [(1100, 1), (1300, 2)])
+def test_overflowing_band_rule_raises_rather_than_nan(dim, mval):
+    # past 2M + N ~ 1030 the Jacobi rule's mass overflows and the table's
+    # masses are NaN: the reach check must reject them
+    mv = MvMultiGauss(np.zeros(dim), np.eye(dim), mval)
+    with pytest.raises(ValueError, match="beyond the table"):
+        mv.ellipsoid_mass(float(dim))
+    if mval == 1:
+        assert np.all(np.isfinite(mv.sample(10, np.random.default_rng(0))))
+    else:
+        with pytest.raises(ValueError, match="beyond the table"):
+            mv.sample(10, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("mval", (55, 56, 57, 58))
