@@ -169,17 +169,17 @@ class MvMultiGauss:
         if pts.shape[1] != self.dim:
             raise ValueError(f"points must have dimension {self.dim}, got {pts.shape[1]}")
         # forward substitution L z = x - mean, one point per column, so a
-        # point holding a NaN or an inf gives nan or inf, silently, and leaves
-        # the other points alone
-        chol, z = self._chol, (pts - self._mean).T
-        with np.errstate(invalid="ignore"):
+        # point holding a NaN or an inf, or one whose Q passes the float
+        # range, gives nan or inf, silently, and leaves the other points alone
+        with np.errstate(over="ignore", invalid="ignore"):
+            chol, z = self._chol, (pts - self._mean).T
             for start in range(0, self.dim, _SUBST_BLOCK):
                 block = slice(start, start + _SUBST_BLOCK)
                 if start:
                     z[block] -= chol[block, :start] @ z[:start]
                 for i in range(start, min(start + _SUBST_BLOCK, self.dim)):
                     z[i] = (z[i] - chol[i, start:i] @ z[start:i]) * self._inv_diag[i]
-        q = np.sum(z * z, axis=0)
+            q = np.sum(z * z, axis=0)
         if single:
             return float(q[0])
         return q
@@ -256,11 +256,12 @@ def bivariate_pdf(params: BivariateParams, m, x1, x2):
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     scalar = x1.ndim == 0 and x2.ndim == 0
-    d1 = (x1 - params.mu1) / params.sigma1
-    d2 = (x2 - params.mu2) / params.sigma2
     one_minus_r2 = 1.0 - params.rho * params.rho
-    z = d1 * d1 - 2.0 * params.rho * d1 * d2 + d2 * d2
-    w = 0.5 * z / one_minus_r2
+    with np.errstate(over="ignore"):  # past the float range w is inf: density 0
+        d1 = (x1 - params.mu1) / params.sigma1
+        d2 = (x2 - params.mu2) / params.sigma2
+        z = d1 * d1 - 2.0 * params.rho * d1 * d2 + d2 * d2
+        w = 0.5 * z / one_minus_r2
     norm = (_normalization(1.0, shape, "normalization S(1; M)").value * _TWO_PI
             * params.sigma1 * params.sigma2 * math.sqrt(one_minus_r2))
     out = mg_profile(w, shape) / norm

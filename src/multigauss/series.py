@@ -430,18 +430,20 @@ def series_s(alpha: float, m_shape, policy: TruncationPolicy | None = None) -> S
     return _series_fractional(alpha, shape, policy)
 
 
-def check_normalization(result: SeriesResult, shape: ShapeParam, what: str,
+def check_normalization(result: SeriesResult, alpha: float, shape: ShapeParam, what: str,
                         exact_limit: int = EXACT_COEFF_LIMIT) -> None:
-    """Raise :class:`SeriesNotConverged` unless a normalization kept its digits.
+    """Raise :class:`SeriesNotConverged` unless ``result = S(alpha; M)`` kept its digits.
 
-    Integer shapes up to ``exact_limit`` sum exact terms in fixed point (at
-    the half-integer and integer orders every caller uses), so only their
-    last rounding counts; any other shape loses about
+    Integer shapes up to ``exact_limit`` sum exact terms in fixed point at
+    the orders where ``2 alpha`` is a non-negative integer, so only their
+    last rounding counts; any other shape or order loses about
     ``log10(condition_number)`` digits of plain float precision.  A value
     whose estimated relative error exceeds 1e-3, or that is not finite,
     retains no significant digits.
     """
-    exact_terms = shape.is_integer and shape.int_value <= exact_limit
+    k = 2.0 * alpha
+    exact_terms = (shape.is_integer and shape.int_value <= exact_limit
+                   and k >= 0.0 and k.is_integer())
     err_floor = 1e-30 if exact_terms else 2e-16
     if not (math.isfinite(result.value)
             and result.condition_number * err_floor <= 1e-3):
@@ -464,11 +466,11 @@ def xi_coeff(n: int, m_shape, policy: TruncationPolicy | None = None) -> float:
     shape = ShapeParam.of(m_shape)
     num = series_s(n + 0.5, shape, policy)
     den = series_s(0.5, shape, policy)
-    for res, label in ((num, f"S({n}+1/2)"), (den, "S(1/2)")):
+    for alpha, res, label in ((n + 0.5, num, f"S({n}+1/2)"), (0.5, den, "S(1/2)")):
         if res.truncation_flag is TruncationFlag.CAP_HIT:
             raise SeriesNotConverged(
                 f"{label} did not converge for M={shape.value} "
                 f"(condition number {res.condition_number:.3g})"
             )
-        check_normalization(res, shape, label)
+        check_normalization(res, alpha, shape, label)
     return num.value / den.value

@@ -1,6 +1,7 @@
 """Tests for the multivariate density and its radial sampler."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,12 @@ class TestPdf:
         d = MultiGauss(0.5, 2.0, 10)
         for x in (-3.0, 0.1, 0.5, 2.2, 6.0):
             assert mv.pdf([x]) == pytest.approx(float(d.pdf(x)), rel=1e-15, abs=1e-300)
+
+    def test_no_warning_where_the_squared_distance_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert MvMultiGauss([0, 0], np.eye(2), 2.5).pdf([1e200, 0.0]) == 0.0
+            assert bivariate_pdf(BivariateParams(0, 0, 1, 1, 0.5), 2.5, 1e200, 0.0) == 0.0
 
     def test_nan_row_gives_nan_and_keeps_the_others(self):
         mv = MvMultiGauss([0, 0], [[1.0, 0.3], [0.3, 2.0]], 2.5)

@@ -248,11 +248,23 @@ class TestTailReflectionUnderflow:
         assert math.isinf(r.value) and r.truncation_flag is TruncationFlag.CAP_HIT
 
     def test_shared_normalization_check(self):
-        check_normalization(series_s(0.5, 54), ShapeParam(54), "c0")
+        check_normalization(series_s(0.5, 54), 0.5, ShapeParam(54), "c0")
         with pytest.raises(SeriesNotConverged, match="M=55"):
-            check_normalization(series_s(0.5, 55), ShapeParam(55), "c0")
+            check_normalization(series_s(0.5, 55), 0.5, ShapeParam(55), "c0")
         with pytest.raises(SeriesNotConverged):
-            check_normalization(series_s(0.5, 200.3), ShapeParam(200.3), "c0")
+            check_normalization(series_s(0.5, 200.3), 0.5, ShapeParam(200.3), "c0")
+
+    @pytest.mark.parametrize("alpha, mval", [(0.25, 54), (0.25, 50), (0.75, 54)])
+    def test_no_exact_floor_off_the_half_integer_orders(self, alpha, mval):
+        # m^-alpha is a rounded float there, so the sum carries its whole
+        # condition number: 11.8 %, 8.1e-3 and 5.35e-3 off
+        with pytest.raises(SeriesNotConverged, match="no significant digits"):
+            check_normalization(series_s(alpha, mval), alpha, ShapeParam(mval), "S")
+
+    def test_half_integer_orders_keep_the_exact_floor(self):
+        for mval in range(1, 55):
+            for k in range(13):
+                check_normalization(series_s(k / 2, mval), k / 2, ShapeParam(mval), "S")
 
 
 def loop_stop(alpha, mval, policy):

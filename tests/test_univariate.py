@@ -1,6 +1,7 @@
 """Tests for the univariate distribution object."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,13 @@ class TestConstruction:
 
 
 class TestPdf:
+    def test_no_warning_where_the_squared_distance_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = MultiGauss(0.0, 1.0, 2.5)
+            assert d.pdf(1e200) == 0.0 and d.logpdf(1e200) == -math.inf
+            assert MultiGauss(0.0, 1e-300, 2.5).pdf(1.0) == 0.0
+
     def test_gaussian_peak(self):
         d = MultiGauss(0.0, 1.0, 1)
         assert float(d.pdf(0.0)) == pytest.approx(1.0 / SQRT_2PI, rel=1e-15)
@@ -396,40 +404,52 @@ class TestThreadSafety:
             assert got == want
 
 
-class TestTailSeriesStop:
-    """The far-tail series tests convergence every 8th term only."""
+#: Shapes whose closed-form profile is checked against mpmath to the last bits.
+PROFILE_SHAPES = (1e-3, 0.025, 0.5, 1, 2, 2.5, 10, 12.3, 40, 40.5, 54, 57)
+
+
+class TestClosedFormPrecision:
+    """The closed form keeps full relative precision on the whole half-line."""
 
     @staticmethod
-    def per_term(w, shape):
-        # the loop as it was with a convergence test after every term
-        g = np.exp(-np.asarray(w, dtype=float))
-        v = shape.value
-        cap = shape.int_value if shape.is_integer else 64
-        acc = np.full_like(g, v)
-        gm = np.ones_like(g)
-        b = v
-        for m in range(2, cap + 1):
-            b = b * (v - m + 1) / m
-            gm *= g
-            term = b * gm if m % 2 == 1 else -b * gm
-            acc += term
-            if np.all(np.abs(term) < 1e-22 * np.abs(acc)):
-                break
-        return acc
+    def profile(w, m):
+        """50-digit ``1 - (1 - e^-w)^M``, through ``log1p`` past ``w = 0.5``."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            w, m = mp.mpf(w), mp.mpf(m)
+            if w < 0.5:
+                return 1 - (-mp.expm1(-w)) ** m
+            return -mp.expm1(m * mp.log1p(-mp.exp(-w)))
 
-    @pytest.mark.parametrize("m", [2, 3, 10, 40, 54, 1e-3, 0.025, 0.25, 0.5, 2.5, 12.3])
-    def test_same_bits_as_per_term_test(self, m):
+    @staticmethod
+    def rel_err(got, want):
+        return max(abs(g - float(v)) / abs(float(v)) for g, v in zip(got, want))
+
+    @pytest.mark.parametrize("m", PROFILE_SHAPES)
+    def test_profile_to_w_700(self, m):
+        from multigauss.univariate import mg_profile
+
+        ws = np.concatenate([np.geomspace(1e-8, 700.0, 240), np.linspace(0.5, 40.0, 80)])
+        want = [self.profile(w, m) for w in ws]
+        assert self.rel_err(mg_profile(ws, m), want) <= 1e-15
+
+    @pytest.mark.parametrize("m", PROFILE_SHAPES)
+    def test_scaled_profile_to_w_800(self, m):
+        mp = pytest.importorskip("mpmath")
         from multigauss.univariate import ShapeParam, _profile_tail_series
 
-        shape = ShapeParam.of(m)
-        w_switch = max(4.0, math.log(max(m, 1.0)) + 4.0)
-        rng = np.random.default_rng(17)
-        ws = w_switch + np.concatenate([np.geomspace(1e-9, 1e4, 400),
-                                        rng.uniform(0.0, 20.0, 400)])
-        pieces = [ws] + [ws[i:i + 29] for i in range(0, ws.size, 29)] + [ws[::40]]
-        for w in pieces:
-            got = _profile_tail_series(w, shape)
-            want = self.per_term(w, shape)
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        for w in ws[::53]:  # one point at a time
-            assert _profile_tail_series(np.array([w]), shape)[0] == self.per_term([w], shape)[0]
+        ws = np.concatenate([np.geomspace(1e-8, 800.0, 240),
+                             [699.0, 700.0, np.nextafter(700.0, 800.0), 708.0, 745.0]])
+        with mp.workdps(50):
+            want = [mp.exp(w) * self.profile(w, m) for w in ws]
+        assert self.rel_err(_profile_tail_series(ws, ShapeParam.of(m)), want) <= 1e-15
+
+    @pytest.mark.parametrize("m", PROFILE_SHAPES)
+    def test_logpdf_where_the_profile_underflows(self, m):
+        mp = pytest.importorskip("mpmath")
+        d = MultiGauss(0.0, 1.0, m)
+        xs = np.array([38.0, 39.0, 40.0, 60.0, 1e3])
+        with mp.workdps(50):
+            log_norm = mp.log(mp.mpf(d.c0) * mp.sqrt(2 * mp.pi))
+            want = [mp.log(self.profile(x * x / 2, m)) - log_norm for x in xs]
+        assert self.rel_err(d.logpdf(xs), want) <= 1e-15
