@@ -38,11 +38,11 @@ class LogMultiGauss:
         return f"LogMultiGauss(mu={b.mu:g}, sigma={b.sigma:g}, m={b.shape.value:g})"
 
     def pdf(self, y):
-        """Density ``pdf_X(ln y) / y`` for ``y > 0``, zero elsewhere."""
+        """Density ``pdf_X(ln y) / y`` for ``y > 0``, zero elsewhere, NaN for NaN."""
         y = np.asarray(y, dtype=float)
         scalar = y.ndim == 0
         y = np.atleast_1d(y)
-        out = np.zeros_like(y)
+        out = np.where(np.isnan(y), np.nan, 0.0)
         pos = y > 0.0
         if np.any(pos):
             yp = y[pos]

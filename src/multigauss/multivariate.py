@@ -257,11 +257,14 @@ def bivariate_pdf(params: BivariateParams, m, x1, x2):
     x2 = np.asarray(x2, dtype=float)
     scalar = x1.ndim == 0 and x2.ndim == 0
     one_minus_r2 = 1.0 - params.rho * params.rho
-    with np.errstate(over="ignore"):  # past the float range w is inf: density 0
+    with np.errstate(over="ignore", invalid="ignore"):
         d1 = (x1 - params.mu1) / params.sigma1
         d2 = (x2 - params.mu2) / params.sigma2
         z = d1 * d1 - 2.0 * params.rho * d1 * d2 + d2 * d2
         w = 0.5 * z / one_minus_r2
+    # past the float range the form is inf, or NaN where infinite terms meet
+    # (inf - inf, inf * 0); it is +inf there, as the matrix is positive definite
+    w = np.where(np.isnan(w) & ~(np.isnan(x1) | np.isnan(x2)), np.inf, w)
     norm = (_normalization(1.0, shape, "normalization S(1; M)").value * _TWO_PI
             * params.sigma1 * params.sigma2 * math.sqrt(one_minus_r2))
     out = mg_profile(w, shape) / norm

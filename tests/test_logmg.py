@@ -71,6 +71,9 @@ class TestCdf:
         assert math.isnan(vals[0])
         np.testing.assert_array_equal(vals[1:], [0.0, 0.0, 0.5, d.cdf(2.0), 1.0])
         assert type(d.cdf(2.0)) is float
+        dens = d.pdf(np.array([np.nan, -1.0, 0.0, 1.0, np.inf]))
+        assert math.isnan(dens[0]) and math.isnan(d.pdf(float("nan")))
+        np.testing.assert_array_equal(dens[1:], [0.0, 0.0, d.pdf(1.0), 0.0])
 
     def test_equals_base_at_log(self):
         d = LogMultiGauss(0.0, 1.0, 10)

@@ -81,6 +81,11 @@ class TestPdf:
             warnings.simplefilter("error")
             assert MvMultiGauss([0, 0], np.eye(2), 2.5).pdf([1e200, 0.0]) == 0.0
             assert bivariate_pdf(BivariateParams(0, 0, 1, 1, 0.5), 2.5, 1e200, 0.0) == 0.0
+            assert MvMultiGauss([0, 0], np.eye(2), 2.5).pdf([1e200, 1e200]) == 0.0
+            for x1, x2 in ((1e200, 1e200), (np.inf, 0.0), (np.inf, -np.inf)):
+                assert bivariate_pdf(BivariateParams(0, 0, 1, 1, 0.5), 2.5, x1, x2) == 0.0
+            # NaN in still gives NaN
+            assert math.isnan(bivariate_pdf(BivariateParams(0, 0, 1, 1, 0.5), 2.5, np.nan, 1e200))
 
     def test_nan_row_gives_nan_and_keeps_the_others(self):
         mv = MvMultiGauss([0, 0], [[1.0, 0.3], [0.3, 2.0]], 2.5)

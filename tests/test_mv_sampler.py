@@ -13,14 +13,13 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import ndtr, roots_jacobi
+from scipy.special import roots_jacobi
 
-from multigauss import MvMultiGauss, SeriesNotConverged
+from multigauss import MultiGauss, MvMultiGauss, SeriesNotConverged
 from multigauss.series import ShapeParam
 from multigauss.univariate import (
-    _CDF_BAND, _CDF_EDGES, _CDF_REACH, _GJ_ORDER, _GL_NODES, _GL_WEIGHTS, _INVERSE_NODES,
-    _RADIUS_CANDIDATES, _SCORE_REACH, _CdfTable, _log_tail_score, _pchip_coeffs, _RadialInverse,
-    _radial_score, _score_step, mg_profile,
+    _CDF_BAND, _CDF_EDGES, _CDF_REACH, _GJ_ORDER, _GL_NODES, _GL_WEIGHTS, _CdfTable,
+    _log_tail_score, _RadialInverse, _radial_score, mg_profile,
 )
 
 SHAPES = (1e-3, 0.025, 0.5, 1, 2.5, 10, 40, 54)
@@ -155,58 +154,6 @@ def test_one_tail_radial_score_keeps_its_bits(mval, dim):
     np.testing.assert_array_equal(_radial_score(table, r), _both_tails_score(table, r))
 
 
-@pytest.mark.parametrize("dim", (1, 2, 5, 60))
-@pytest.mark.parametrize("mval", (1e-3, 0.5, 2.5, 40))
-def test_mass_bounds_bound_the_masses(mval, dim):
-    table = _CdfTable(ShapeParam.of(mval), dim)
-    r = np.concatenate((np.geomspace(1e-30, _CDF_BAND, 200, endpoint=False),
-                        np.linspace(_CDF_BAND, _CDF_REACH, 2001)[:-1]))
-    below, above = table.mass_bounds(r)
-    # up to the rounding of masses near 1
-    assert np.all(table.below(r) <= below * (1.0 + 1e-15))
-    assert np.all(table.above(r) <= above * (1.0 + 1e-15))
-
-
-def _inverse_from_every_candidate(table):
-    """The radial inverse's nodes and coefficients as built before its coarse
-    pass skipped candidates: the score at every candidate radius."""
-    sc = _both_tails_score(table, _RADIUS_CANDIDATES)
-    keep = np.isfinite(sc)
-    sc, log_rc = sc[keep], np.log(_RADIUS_CANDIDATES[keep])
-    grid = np.linspace(max(sc[0], -_SCORE_REACH), min(sc[-1], _SCORE_REACH), _INVERSE_NODES)
-    log_r = np.interp(grid, sc, log_rc)
-    for _ in range(2):
-        log_r -= _score_step(table, log_r, grid)
-    return grid, _pchip_coeffs(grid, np.exp(log_r))
-
-
-@pytest.mark.parametrize("dim", (1, 2, 3, 5, 20, 60))
-@pytest.mark.parametrize("mval", (1e-3, 0.025, 0.5, 2.5, 12.3, 40, 54))
-def test_coarse_pass_keeps_the_inverse_bits(mval, dim):
-    table = _CdfTable(ShapeParam.of(mval), dim)
-    inverse = _RadialInverse(table)
-    grid, coeffs = _inverse_from_every_candidate(table)
-    np.testing.assert_array_equal(inverse.grid, grid)
-    np.testing.assert_array_equal(inverse._coeffs, coeffs)
-
-
-@pytest.mark.parametrize("dim", (1, 3, 60))
-@pytest.mark.parametrize("mval", (0.025, 2.5, 40))
-def test_coarse_pass_keeps_the_inverse_bits_with_exact_bounds(monkeypatch, mval, dim):
-    # with bounds that are the masses themselves and a cut at the grid's
-    # reach, only the candidate kept next to the grid on each side brackets it
-    from multigauss import univariate
-
-    table = _CdfTable(ShapeParam.of(mval), dim)
-    want = _inverse_from_every_candidate(table)
-    # the grid's reach is the score of the Gaussian tail beyond 8.5
-    monkeypatch.setattr(univariate, "_FAR_MASS", float(ndtr(-8.5)))
-    monkeypatch.setattr(_CdfTable, "mass_bounds", lambda self, r: (self.below(r), self.above(r)))
-    inverse = _RadialInverse(table)
-    np.testing.assert_array_equal(inverse.grid, want[0])
-    np.testing.assert_array_equal(inverse._coeffs, want[1])
-
-
 @pytest.mark.parametrize("mval,dim", [(0.025, 2), (2.5, 3), (40, 5), (0.5, 1), (40, 1)])
 def test_inverse_table_matches_bisection(mval, dim):
     table = _CdfTable(ShapeParam.of(mval), dim)
@@ -240,6 +187,32 @@ def test_inverse_matches_bisection_on_the_log_tail_score(mval, dim):
         below = _radial_score(table, mid) < scores
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     assert np.max(np.abs(inverse.radius(scores) - 0.5 * (lo + hi))) <= 1e-6
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3, 5, 9, 20, 60))
+@pytest.mark.parametrize("mval", (1e-3, 0.025, 0.5, 2.5, 12.3, 40, 54))
+def test_hermite_inverse_is_within_3e_8(mval, dim):
+    # the cubic takes each node's exact slope from the last Newton step
+    table = _CdfTable(ShapeParam.of(mval), dim)
+    inverse = _RadialInverse(table)
+    grid = inverse.grid
+    scores = np.concatenate((
+        np.random.default_rng(13).uniform(grid[0], grid[-1], 600),
+        np.linspace(-0.05, 0.05, 21), grid[:3], grid[-3:],
+    ))
+    lo, hi = np.zeros_like(scores), np.full_like(scores, _CDF_REACH)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = _radial_score(table, mid) < scores
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    assert np.max(np.abs(inverse.radius(scores) - 0.5 * (lo + hi))) <= 3e-8
+    if dim == 1:
+        # each draw is the quantile of its uniform without the Newton polish
+        d = MultiGauss(0.0, 1.0, mval)
+        x = d.sample(200_000, np.random.default_rng(14))
+        u = np.random.default_rng(14).random(200_000)
+        keep = u > 0.0
+        assert np.max(np.abs(x[keep] - d.quantile(u[keep]))) <= 3e-8
 
 
 def test_log_tail_score_is_odd(monkeypatch):
