@@ -18,8 +18,9 @@ from scipy.special import roots_jacobi
 from multigauss import MultiGauss, MvMultiGauss, SeriesNotConverged
 from multigauss.series import ShapeParam
 from multigauss.univariate import (
-    _CDF_BAND, _CDF_EDGES, _CDF_REACH, _GJ_ORDER, _GL_NODES, _GL_WEIGHTS, _CdfTable,
-    _log_tail_score, _RadialInverse, _radial_score, mg_profile,
+    _CDF_BAND, _CDF_EDGES, _CDF_REACH, _GJ_ORDER, _GL_NODES, _GL_WEIGHTS, _INVERSE_NODES,
+    _RADIUS_CANDIDATES, _SCORE_REACH, _CdfTable, _log_tail_score, _RadialInverse,
+    _radial_score, _score_step, mg_profile,
 )
 
 SHAPES = (1e-3, 0.025, 0.5, 1, 2.5, 10, 40, 54)
@@ -152,6 +153,36 @@ def test_one_tail_radial_score_keeps_its_bits(mval, dim):
         [_CDF_REACH, 40.5, 1e3, np.inf, np.nan],  # beyond the reach
     ))
     np.testing.assert_array_equal(_radial_score(table, r), _both_tails_score(table, r))
+
+
+def _inverse_from_every_candidate(table):
+    """The radial inverse's nodes and coefficients from the both-tails score
+    at every candidate radius, three Newton steps, and the cubic Hermite
+    pieces ((c0 t + c1) t + c2) t + c3 with the last step's slopes."""
+    sc = _both_tails_score(table, _RADIUS_CANDIDATES)
+    keep = np.isfinite(sc)
+    sc, log_rc = sc[keep], np.log(_RADIUS_CANDIDATES[keep])
+    grid = np.linspace(max(sc[0], -_SCORE_REACH), min(sc[-1], _SCORE_REACH), _INVERSE_NODES)
+    log_r = np.interp(grid, sc, log_rc)
+    for _ in range(3):
+        step, slope = _score_step(table, log_r, grid)
+        log_r -= step
+    r = np.exp(log_r)
+    d, h = r * slope, np.diff(grid)
+    m = np.diff(r) / h
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    return grid, np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], r[:-1]))
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3, 5, 20, 60))
+@pytest.mark.parametrize("mval", (1e-3, 0.025, 0.5, 2.5, 12.3, 40, 54))
+def test_coarse_pass_keeps_the_inverse_bits(mval, dim):
+    # the coarse pass takes the one-tail score at every candidate radius
+    table = _CdfTable(ShapeParam.of(mval), dim)
+    inverse = _RadialInverse(table)
+    grid, coeffs = _inverse_from_every_candidate(table)
+    np.testing.assert_array_equal(inverse.grid, grid)
+    np.testing.assert_array_equal(inverse._coeffs, coeffs)
 
 
 @pytest.mark.parametrize("mval,dim", [(0.025, 2), (2.5, 3), (40, 5), (0.5, 1), (40, 1)])
