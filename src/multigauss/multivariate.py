@@ -180,6 +180,11 @@ class MvMultiGauss:
                 for i in range(start, min(start + _SUBST_BLOCK, self.dim)):
                     z[i] = (z[i] - chol[i, start:i] @ z[start:i]) * self._inv_diag[i]
             q = np.sum(z * z, axis=0)
+        # where infinite terms meet (inf - inf) Q is NaN; with no NaN coordinate
+        # it is +inf there, as the matrix is positive definite
+        bad = np.isnan(q)
+        if bad.any():
+            q[bad & ~np.isnan(pts).any(axis=1)] = np.inf
         if single:
             return float(q[0])
         return q

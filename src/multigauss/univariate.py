@@ -759,7 +759,8 @@ class MultiGauss:
             near[pick] = _rule_sum(a[pick], s[keep], h[keep],
                                    lambda p, s: 0.5 * (np.exp(-0.5 * (s - p) ** 2)
                                                        + np.exp(-0.5 * (s + p) ** 2)))
-        far = erfc((_CDF_REACH - a) / math.sqrt(2.0)) + erfc((_CDF_REACH + a) / math.sqrt(2.0))
+        # the mirror term erfc((reach + a)/sqrt(2)) underflows to 0 for every a >= 0
+        far = erfc((_CDF_REACH - a) / math.sqrt(2.0))
         return near + self._shape.value * math.sqrt(math.pi / 8.0) * far
 
     def cf(self, omega):

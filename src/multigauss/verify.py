@@ -47,9 +47,9 @@ SEED_LMG = 20240614
 SEED_MV = 20240615
 
 
-def _profile_oracle(t: float, mval: float) -> float:
+def _profile_oracle(t, mval: float):
     """Unnormalized profile written out directly (oracle-side implementation)."""
-    return 1.0 - (1.0 - math.exp(-0.5 * t * t)) ** mval
+    return 1.0 - (1.0 - np.exp(-0.5 * t * t)) ** mval
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +105,7 @@ def _pdf_mass_with_tail(d: MultiGauss) -> float:
     """Quadrature over mu +- 12 sigma plus the analytic Gaussian tail bound."""
     lo = d.mu - 12.0 * d.sigma
     hi = d.mu + 12.0 * d.sigma
-    mass = integrate(lambda x: float(d.pdf(x)),
-                     QuadratureSpec(lo, hi, abs_tol=1e-12, rel_tol=1e-11))
+    mass = integrate(d.pdf, QuadratureSpec(lo, hi, abs_tol=1e-12, rel_tol=1e-11))
     # profile <= max(M,1) e^-w, so each tail is below max(M,1)/c0 * Phi(-12)
     tail = max(d.shape.value, 1.0) / d.c0 * math.erfc(12.0 / math.sqrt(2.0))
     return mass + tail
@@ -121,7 +120,7 @@ def univariate_reports() -> list[OracleReport]:
     # Gaussian reduction at M = 1
     d1 = MultiGauss(0.0, 1.0, 1)
     xs = np.linspace(-6.0, 6.0, 1000)
-    dev_pdf = max(abs(float(d1.pdf(x)) - gaussian_pdf(x)) for x in xs)
+    dev_pdf = float(np.max(np.abs(d1.pdf(xs) - gaussian_pdf(xs))))
     dev_cdf = float(np.max(np.abs(d1.cdf(xs) - gaussian_cdf(xs))))
     reports.append(OracleReport("univariate/pdf reduction M=1", dev_pdf, 0.0, abs_tol=1e-15))
     reports.append(OracleReport("univariate/cdf reduction M=1", dev_cdf, 0.0, abs_tol=1e-15))
@@ -129,7 +128,7 @@ def univariate_reports() -> list[OracleReport]:
     for mval in (2, 0.5):
         d = MultiGauss(2.0, 0.5, mval)
         for k in (1, 2, 3, 4):
-            q = integrate(lambda x, kk=k: x**kk * float(d.pdf(x)),
+            q = integrate(lambda x, kk=k: x**kk * d.pdf(x),
                           QuadratureSpec(d.mu - 13 * d.sigma, d.mu + 13 * d.sigma,
                                          abs_tol=1e-13, rel_tol=1e-11))
             reports.append(OracleReport(
@@ -144,19 +143,18 @@ def univariate_reports() -> list[OracleReport]:
                                 3.0 * d.sigma**4 * (xi2 - xi1 * xi1), rel_tol=1e-8))
     # cdf derivative equals pdf
     worst = 0.0
+    xs = np.array([-2.5, -0.9, 0.35, 1.8])
     for mval in (10, 0.5):
         d = MultiGauss(0.0, 1.0, mval)
-        for x in (-2.5, -0.9, 0.35, 1.8):
-            fd = finite_diff(d.cdf, x, 1e-5)
-            worst = max(worst, abs(fd - float(d.pdf(x))) / float(d.pdf(x)))
+        p = d.pdf(xs)
+        worst = max(worst, float(np.max(np.abs(finite_diff(d.cdf, xs, 1e-5) - p) / p)))
     reports.append(OracleReport("univariate/cdf' vs pdf (spot grid)", worst, 0.0,
                                 abs_tol=1e-6))
     # characteristic function against oscillatory quadrature
     for mval in (2, 10):
         d = MultiGauss(0.0, 1.0, mval)
         for omega in (0.5, 1.0, 2.0, 5.0):
-            q = integrate_cos_weighted(lambda x: float(d.pdf(x)), omega, -13.0, 13.0,
-                                       abs_tol=1e-11)
+            q = integrate_cos_weighted(d.pdf, omega, -13.0, 13.0, abs_tol=1e-11)
             reports.append(OracleReport(
                 f"univariate/cf(omega={omega:g}, M={mval})", d.cf(omega).real, q,
                 abs_tol=1e-8))
@@ -167,7 +165,7 @@ def univariate_reports() -> list[OracleReport]:
     coeffs = signed_coeffs(d.shape, 10)
     ms = np.arange(1.0, 11.0)
     variant = float(np.sum(coeffs / (ms * np.sqrt(ms)) * np.exp(-0.5 * omega**2 / ms))) / d.c0
-    q = integrate_cos_weighted(lambda x: float(d.pdf(x)), omega, -13.0, 13.0, abs_tol=1e-11)
+    q = integrate_cos_weighted(d.pdf, omega, -13.0, 13.0, abs_tol=1e-11)
     rep = OracleReport(
         "univariate/cf variant with extra 1/m factor mismatches quadrature",
         variant, q,
@@ -205,7 +203,7 @@ def _lmg_mass(d: LogMultiGauss) -> float:
     base = d.base
     lo = base.mu - 13.0 * base.sigma
     hi = base.mu + 13.0 * base.sigma
-    return integrate(lambda x: d.pdf(math.exp(x)) * math.exp(x),
+    return integrate(lambda x: d.pdf(np.exp(x)) * np.exp(x),
                      QuadratureSpec(lo, hi, abs_tol=1e-11, rel_tol=1e-10))
 
 
@@ -218,17 +216,15 @@ def lmg_reports() -> list[OracleReport]:
     # reduction to the classic log-normal at M = 1
     d1 = LogMultiGauss(0.0, 1.0, 1)
     ys = np.exp(np.linspace(-4.0, 4.0, 200))
-    dev = 0.0
-    for y in ys:
-        ref_pdf = math.exp(-0.5 * math.log(y) ** 2) / (y * _SQRT_2PI)
-        dev = max(dev, abs(d1.pdf(float(y)) - ref_pdf))
-    dev = max(dev, float(np.max(np.abs(d1.cdf(ys) - gaussian_cdf(np.log(ys))))))
+    ref_pdf = np.exp(-0.5 * np.log(ys) ** 2) / (ys * _SQRT_2PI)
+    dev = float(max(np.max(np.abs(d1.pdf(ys) - ref_pdf)),
+                    np.max(np.abs(d1.cdf(ys) - gaussian_cdf(np.log(ys))))))
     reports.append(OracleReport("lmg/log-normal reduction M=1", dev, 0.0, abs_tol=1e-12))
     # moments against log-space quadrature
     for mval in (1, 2, 10):
         d = LogMultiGauss(0.0, 1.0, mval)
         for k in (1, 2, 3, 4):
-            q = integrate(lambda x, kk=k: math.exp(kk * x) * float(d.base.pdf(x)),
+            q = integrate(lambda x, kk=k: np.exp(kk * x) * d.base.pdf(x),
                           QuadratureSpec(-14.0, 4.0 * k + 14.0, abs_tol=1e-12, rel_tol=1e-10))
             reports.append(OracleReport(
                 f"lmg/moment k={k} (M={mval})", d.moment(k), q, rel_tol=1e-7))
@@ -356,7 +352,7 @@ def _radial_gof(mval: float, dim: int, n: int, seed: int) -> tuple[float, float]
     q = np.einsum("ij,ij->i", x, x)
 
     def density(t):
-        return t ** (0.5 * dim - 1.0) * _profile_oracle(math.sqrt(t), mval)
+        return t ** (0.5 * dim - 1.0) * _profile_oracle(np.sqrt(t), mval)
 
     # beyond Q = 100 the profile is below M e^-50: no mass at this tolerance
     edges = (0.0,) + _RADIAL_POINTS + (100.0,)
@@ -394,16 +390,16 @@ def mv_reports() -> list[OracleReport]:
     # dimensional reduction N=1
     mv1 = MvMultiGauss([0.5], [[4.0]], 10)
     d1 = MultiGauss(0.5, 2.0, 10)
-    dev = max(abs(mv1.pdf([x]) - float(d1.pdf(x))) for x in (-3.0, 0.1, 0.5, 2.2, 6.0))
+    xs = np.array([-3.0, 0.1, 0.5, 2.2, 6.0])
+    dev = float(np.max(np.abs(mv1.pdf(xs[:, None]) - d1.pdf(xs))))
     reports.append(OracleReport("mv/N=1 reduction to univariate", dev, 0.0, abs_tol=1e-15))
     # bivariate closed form against the Cholesky path
     p = BivariateParams(0.3, -0.2, 1.2, 0.8, 0.7)
     mv = MvMultiGauss(p.mean(), p.covariance(), 40)
-    dev = 0.0
-    for x1, x2 in ((0.3, -0.2), (1.0, 1.0), (-1.4, 0.9), (2.8, -2.0)):
-        a = bivariate_pdf(p, 40, x1, x2)
-        b = mv.pdf([x1, x2])
-        dev = max(dev, abs(a - b) / max(abs(b), 1e-300))
+    pts = np.array([[0.3, -0.2], [1.0, 1.0], [-1.4, 0.9], [2.8, -2.0]])
+    b = mv.pdf(pts)
+    dev = float(np.max(np.abs(bivariate_pdf(p, 40, pts[:, 0], pts[:, 1]) - b)
+                       / np.maximum(np.abs(b), 1e-300)))
     reports.append(OracleReport("mv/bivariate closed form vs Cholesky", dev, 0.0,
                                 abs_tol=1e-13))
     # sampler goodness of fit in 2-D

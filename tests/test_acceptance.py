@@ -51,7 +51,7 @@ def _report(num: int, label: str, ok: bool, detail: str = ""):
 
 def _lmg_mass(d: LogMultiGauss) -> float:
     base = d.base
-    return integrate(lambda x: d.pdf(math.exp(x)) * math.exp(x),
+    return integrate(lambda x: d.pdf(np.exp(x)) * np.exp(x),
                      QuadratureSpec(base.mu - 13, base.mu + 13,
                                     abs_tol=1e-11, rel_tol=1e-10))
 
@@ -111,7 +111,7 @@ def test_criterion_03_moments_vs_quadrature():
         for mu, sigma in ((0.0, 1.0), (2.0, 0.5)):
             d = MultiGauss(mu, sigma, mval)
             for k in (1, 2, 3, 4):
-                q = integrate(lambda x, kk=k: x**kk * float(d.pdf(x)),
+                q = integrate(lambda x, kk=k: x**kk * d.pdf(x),
                               QuadratureSpec(mu - 13 * sigma, mu + 13 * sigma,
                                              abs_tol=1e-13, rel_tol=1e-11))
                 scale = max(abs(q), sigma**k)  # odd central moments vanish
@@ -199,7 +199,7 @@ def test_criterion_08_cf_adjudication():
     for mval in (2, 10):
         d = MultiGauss(0.0, 1.0, mval)
         for w in (0.5, 1.0, 2.0, 5.0):
-            q = integrate_cos_weighted(lambda x: float(d.pdf(x)), w, -13.0, 13.0,
+            q = integrate_cos_weighted(d.pdf, w, -13.0, 13.0,
                                        abs_tol=1e-11)
             worst = max(worst, abs(d.cf(w).real - q))
     # printed variant carrying an extra 1/m inside the sum must NOT match
@@ -207,7 +207,7 @@ def test_criterion_08_cf_adjudication():
     coeffs = signed_coeffs(10, 10)
     ms = np.arange(1.0, 11.0)
     variant = float(np.sum(coeffs / (ms * np.sqrt(ms)) * np.exp(-0.5 / ms))) / d.c0
-    q1 = integrate_cos_weighted(lambda x: float(d.pdf(x)), 1.0, -13.0, 13.0,
+    q1 = integrate_cos_weighted(d.pdf, 1.0, -13.0, 13.0,
                                 abs_tol=1e-11)
     mismatch = abs(variant - q1)
     ok = worst <= 1e-8 and mismatch > 1e-3
@@ -220,7 +220,7 @@ def test_criterion_09_lmg_moments_and_mode():
     for mval in (1, 2, 10):
         d = LogMultiGauss(0.0, 1.0, mval)
         for k in (1, 2, 3, 4):
-            q = integrate(lambda x, kk=k: math.exp(kk * x) * float(d.base.pdf(x)),
+            q = integrate(lambda x, kk=k: np.exp(kk * x) * d.base.pdf(x),
                           QuadratureSpec(-14.0, 4.0 * k + 14.0,
                                          abs_tol=1e-12, rel_tol=1e-10))
             worst = max(worst, abs(d.moment(k) - q) / q)

@@ -85,7 +85,7 @@ class TestCdf:
         from multigauss.oracle import QuadratureSpec, integrate
 
         d = LogMultiGauss(0.0, 1.0, 10)
-        q = integrate(lambda x: d.pdf(math.exp(x)) * math.exp(x),
+        q = integrate(lambda x: d.pdf(np.exp(x)) * np.exp(x),
                       QuadratureSpec(-13.0, math.log(2.0), abs_tol=1e-11, rel_tol=1e-10))
         assert d.cdf(2.0) == pytest.approx(q, abs=1e-8)
 

@@ -84,8 +84,14 @@ class TestPdf:
             assert MvMultiGauss([0, 0], np.eye(2), 2.5).pdf([1e200, 1e200]) == 0.0
             for x1, x2 in ((1e200, 1e200), (np.inf, 0.0), (np.inf, -np.inf)):
                 assert bivariate_pdf(BivariateParams(0, 0, 1, 1, 0.5), 2.5, x1, x2) == 0.0
+            # infinite coordinates that meet in the substitution (inf - inf)
+            mv = MvMultiGauss([0, 0], [[1, .5], [.5, 1]], 2.5)
+            assert mv.pdf([np.inf, np.inf]) == 0.0 and mv.pdf([-np.inf, -np.inf]) == 0.0
+            mv3 = MvMultiGauss([0, 0, 0], [[1, .5, .2], [.5, 1, .3], [.2, .3, 1]], 2.5)
+            assert mv3.pdf([np.inf, np.inf, 0.0]) == 0.0
             # NaN in still gives NaN
             assert math.isnan(bivariate_pdf(BivariateParams(0, 0, 1, 1, 0.5), 2.5, np.nan, 1e200))
+            assert math.isnan(mv.pdf([np.nan, np.inf]))
 
     def test_nan_row_gives_nan_and_keeps_the_others(self):
         mv = MvMultiGauss([0, 0], [[1.0, 0.3], [0.3, 2.0]], 2.5)

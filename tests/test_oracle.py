@@ -75,6 +75,44 @@ class TestIntegrate:
             integrate(lambda x: abs(x - 1.0 / math.pi) ** -0.5, spec)
 
 
+class TestArrayContract:
+    # the outermost Kronrod node, as a fraction of the panel's half-width
+    X_OUTER = 0.991455371120812639206854697526329
+
+    def _panel(self, x):
+        c, h = 0.5 * (x[0] + x[-1]), 0.5 * (x[-1] - x[0]) / self.X_OUTER
+        return c - h, c + h
+
+    def test_one_call_per_panel_on_its_15_ascending_nodes(self):
+        calls = []
+
+        def f(x):
+            calls.append(np.array(x, copy=True))
+            return np.exp(-50.0 * x * x)
+
+        val = integrate(f, QuadratureSpec(-3.0, 5.0, abs_tol=1e-13, rel_tol=0.0))
+        assert val == pytest.approx(math.sqrt(math.pi / 50.0), rel=1e-12)
+        assert len(calls) >= 3 and len(calls) % 2 == 1
+        panels = [self._panel(x) for x in calls]
+        for x, (a, b) in zip(calls, panels):
+            assert x.shape == (15,) and x.dtype == float
+            assert a < x[0] and np.all(np.diff(x) > 0.0) and x[-1] < b
+        assert panels[0] == pytest.approx((-3.0, 5.0), rel=1e-14)
+        # every later pair of calls covers the two halves of an earlier panel
+        for k in range(1, len(panels), 2):
+            (a1, b1), (a2, b2) = panels[k], panels[k + 1]
+            assert b1 == pytest.approx(a2, abs=1e-13)
+            assert any(p == pytest.approx((a1, b2), abs=1e-13) for p in panels[:k])
+
+    def test_gaussian_pdf_on_an_array_equals_its_scalar_calls(self):
+        xs = np.linspace(-9.0, 9.0, 101)
+        got = gaussian_pdf(xs, mu=0.3, sigma=1.7)
+        assert got.shape == xs.shape
+        assert [float(v) for v in got] == [gaussian_pdf(float(x), mu=0.3, sigma=1.7)
+                                           for x in xs]
+        assert type(gaussian_pdf(0.5)) is float
+
+
 class TestOscillatoryIntegrate:
     def test_gaussian_characteristic_value(self):
         for w in (0.5, 2.0, 5.0):
