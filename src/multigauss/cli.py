@@ -49,6 +49,10 @@ _PARAM_HELP = {"mu": "location parameter", "sigma": "scale parameter",
 #: Series label of each family, formatted with the parameters.
 _LABELS = {"mg": "M={m:g}", "lmg": "M={m:g}", "mv": "M={m:g} rho={rho:g}"}
 
+#: Most rows of one table (``--points`` of a curve, squared for a surface,
+#: ``--n`` of a sample), checked before anything is allocated.
+_MAX_ROWS = 10_000_000
+
 
 def _table(**columns) -> np.recarray:
     """One output table: a field per keyword, in order, one row per grid point.
@@ -83,6 +87,11 @@ def _emit(table: np.recarray, fmt: str, *, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _check_rows(rows: int, what: str) -> None:
+    if rows > _MAX_ROWS:
+        raise ValueError(f"{what} asks for {rows} rows; a table holds at most {_MAX_ROWS}")
+
+
 def _error(kind: str, message: str, code: int) -> int:
     sys.stderr.write(json.dumps({"error": {"type": kind, "message": message}}) + "\n")
     return code
@@ -107,6 +116,7 @@ def _axis(lo: float, hi: float, points: int) -> np.ndarray:
         raise ValueError(f"grid bounds must be finite with from < to, got ({lo}, {hi})")
     if points < 2:
         raise ValueError("curve output needs at least 2 grid points")
+    _check_rows(points, "--points")
     return np.linspace(lo, hi, points)
 
 
@@ -180,6 +190,7 @@ def _eval_lmg(args, d: LogMultiGauss, label: str) -> np.recarray:
 
 
 def _eval_mv(args, mv: MvMultiGauss, label: str) -> np.recarray:
+    _check_rows(args.points ** 2, "--points squared")
     x1 = _grid(args, args.mu1 - 4 * args.sigma1, args.mu1 + 4 * args.sigma1)
     x2 = _axis(args.mu2 - 4 * args.sigma2, args.mu2 + 4 * args.sigma2, args.points)
     return _surface(mv, x1, x2, label)
@@ -211,6 +222,7 @@ def cmd_sample(args) -> int:
     rng = _make_rng(args.seed)
     if args.n < 1:
         raise ValueError("n must be >= 1")
+    _check_rows(args.n, "--n")
     draws = _build(args.family, args).sample(args.n, rng)
     # ``x`` is the 1-based index; a bivariate draw is a row (x1, x2)
     values = {"x1": draws[:, 0], "x2": draws[:, 1]} if args.family == "mv" else {"value": draws}

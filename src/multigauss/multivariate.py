@@ -194,7 +194,9 @@ class MvMultiGauss:
         q = self.mahalanobis_sq(x)
         core = mg_profile(np.asarray(q) * 0.5, self._shape)
         norm = self.norm_const * _TWO_PI ** (0.5 * self.dim) * math.exp(self._log_det_half)
-        out = core / norm
+        # a subnormal or zero normalization: inf, or NaN where the profile underflows too
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            out = np.divide(core, norm)
         if np.isscalar(q) or np.ndim(q) == 0:
             return float(out)
         return out

@@ -19,9 +19,10 @@ nears the float underflow; beyond, the scaled profile ``e^w f(w)`` is ``M``
 and the log density all evaluate it.  Every other quantity is an integral
 of the profile over the standardized half-line, taken from one table that
 each object builds on first use: a Gauss-Jacobi rule over the mode band
-(which absorbs the cusp of fractional shapes), then Gauss-Legendre panels
-out to 40 sigma.  The CDF is the tabulated mass beyond the next panel edge
-plus one fixed rule up to that edge.  The moment ratios, the MGF and the CF
+(which absorbs the cusp of fractional shapes, in a closed form that keeps
+its digits however small ``M``), then Gauss-Legendre panels out to 40
+sigma.  The CDF is the tabulated mass beyond the next panel edge plus one
+fixed rule up to that edge.  The moment ratios, the MGF and the CF
 are expectations under the same nodes (`_CdfTable.expectation_rule`), with
 the profile folded into the weights as ``e^w f(w)`` so that no weight
 underflows; all are vectorized over any array of points.
@@ -29,7 +30,7 @@ underflows; all are vectorized over any array of points.
 The law is the case N = 1 of the elliptical family, ``X = mu + sigma sign
 R`` with ``R = |U|`` (Cambanis, Huang & Simons 1981).  One radial inverse
 of the table (`_RadialInverse`) serves the quantile and, through
-`_radial_draw`, the samplers of both families.
+`_radial_draw`, the samplers of both families.  No scipy is needed.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import math
 from functools import cached_property
 
 import numpy as np
-from scipy.special import beta as _beta, betaln as _betaln, erfc, eval_jacobi
 
 from .series import (
     EXACT_COEFF_LIMIT,
@@ -186,35 +186,24 @@ def _rule_sum(points: np.ndarray, nodes: np.ndarray, weights: np.ndarray, kernel
     return out
 
 
-def _roots_jacobi(n: int, a: float, b: float):
-    """Nodes and weights of the ``n``-point Gauss-Jacobi rule, weight ``(1-x)^a (1+x)^b``.
+def _jacobi_rule(n: int, b: float):
+    """Nodes ``v_j`` and weights ``w_j`` of the ``n``-point Gauss rule of ``v^b`` on [0, 1].
 
-    The eigenvalues of the Jacobi matrix of the three-term recurrence, one
-    Newton step on ``P_n^(a,b)``, then weights ``1/(P_(n-1) P_n')``
-    normalized to the weight's mass: the operations of
-    ``scipy.special.roots_jacobi(n, a, b)``, with its bits, for ``a != b``
-    and ``a + b != 0``.
+    Golub & Welsch (1969): the eigenvalues and the squared first eigenvector
+    components of the Jacobi matrix of ``P_k^(0,b)``.  ``sum_j w_j g(v_j)``
+    approximates ``(b + 1) int_0^1 v^b g(v) dv``: the weights sum to 1.
     """
     k = np.arange(n, dtype=float)
-    ab = 2.0 * k + a + b
-    diag = np.where(k == 0, (b - a) / (2 + a + b), (b * b - a * a) / (ab * (ab + 2)))
-    kk, abk = k[1:], ab[1:]
-    off = (2.0 / abk * np.sqrt((kk + a) * (kk + b) / (abk + 1))
-           * np.where(kk == 1, 1.0, np.sqrt(kk * (kk + a + b) / (abk - 1))))
-    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1), UPLO="L")
-    dy = 0.5 * (n + a + b + 1) * eval_jacobi(n - 1, a + 1, b + 1, x)
-    x -= eval_jacobi(n, a, b, x) / dy
-    # P_(n-1) and P_n' span many decades: scale each before the product
-    fm = eval_jacobi(n - 1, a, b, x)
-    log_fm, log_dy = np.log(np.abs(fm)), np.log(np.abs(dy))
-    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.)
-    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.)
-    w = 1.0 / (fm * dy)
-    if a + b <= 1000:
-        mu0 = 2.0 ** (a + b + 1) * _beta(a + 1, b + 1)
-    else:
-        mu0 = np.exp((a + b + 1) * np.log(2.0) + _betaln(a + 1, b + 1))
-    return x, w * (mu0 / w.sum())
+    ab = 2.0 * k + b
+    off = 2.0 * k[1:] * (k[1:] + b) / (ab[1:] * np.sqrt(ab[1:] ** 2 - 1.0))
+    x, vec = np.linalg.eigh(np.diag(b * b / (ab * (ab + 2.0))) + np.diag(off, -1))
+    return 0.5 * (1.0 + x), vec[0] ** 2
+
+
+def _log_phi(y: np.ndarray) -> np.ndarray:
+    """``log phi(y)`` with ``phi(y) = (1 - e^-y)/y``, smooth, in ``(0, 1]``, ``phi(0) = 1``."""
+    safe = np.where(y > 0.0, y, 1.0)
+    return np.where(y > 0.0, np.log(-np.expm1(-safe) / safe), 0.0)
 
 
 class _CdfTable:
@@ -240,13 +229,8 @@ class _CdfTable:
         # the weight is taken as (s/unit)^(dim-1), which stays finite over the reach
         self._unit = math.sqrt(dim - 1.0) if dim > 2 else 1.0
         panels = self._legendre_integral(_CDF_EDGES[1:-1], _CDF_EDGES[2:])
-        # past 2M + N ~ 1030 the Jacobi rule's mass overflows and the band's
-        # mass is NaN, which the reach check below rejects
-        with np.errstate(over="ignore", invalid="ignore"):
-            xg, wg = _roots_jacobi(_GJ_ORDER, 0.0, 2.0 * shape.value + (dim - 1))
-            self._gj_nodes = 0.5 * (1.0 + xg)
-            self._gj_weights = wg
-            band = self._band_integral(np.array([_CDF_BAND]))[0]
+        self._gj_nodes, self._gj_weights = _jacobi_rule(_GJ_ORDER, 2.0 * shape.value + (dim - 1))
+        band = self._band_integral(np.array([_CDF_BAND]))[0]
         tail = np.zeros(_CDF_EDGES.size)
         tail[1:-1] = np.cumsum(panels[::-1])[::-1]
         tail[0] = tail[1] + band
@@ -271,24 +255,19 @@ class _CdfTable:
     def _band_integral(self, au: np.ndarray) -> np.ndarray:
         """Integral of the radial density over ``[0, au]`` for ``0 <= au <= 0.3``.
 
-        Splits the profile as ``1 - psi`` with ``psi(s) = (1 - e^(-s^2/2))^M
-        = s^(2M) chi(s)``: the part ``1`` integrates to ``au^dim/dim``, and
-        the smooth factor ``chi`` is integrated against a Gauss-Jacobi rule
-        with weight ``v^(2M+dim-1)``.
+        The profile is ``1 - (x v^2)^M phi(x v^2)^M`` at ``s = au v``, ``x =
+        au^2/2``; with the Gauss-Jacobi rule of weight ``v^(2M+N-1)`` the
+        integral is ``au^N/(2M+N) [(2M - N expm1(M log x))/N - x^M sum_j w_j
+        expm1(M log phi_j)]``, two positive terms however small ``M``.
         """
-        v = self._shape.value
-        dim = self._dim
-        chi = self._band_terms(au).sum(axis=1)
-        core = au / dim - au ** (2.0 * v + 1.0) * 2.0 ** (-3.0 * v - dim) * chi
-        return core * (au / self._unit) ** (dim - 1)
-
-    def _band_terms(self, au: np.ndarray) -> np.ndarray:
-        """Gauss-Jacobi terms ``w_j phi(y_j)^M`` of ``chi`` on ``[0, au]``, one row per ``au``."""
-        y = 0.5 * (au[:, None] * self._gj_nodes) ** 2
-        # phi(y) = (1 - e^-y)/y, smooth and positive; phi(0) = 1
-        safe = np.where(y > 0.0, y, 1.0)
-        phi = np.where(y > 0.0, -np.expm1(-safe) / safe, 1.0)
-        return np.exp(self._shape.value * np.log(phi)) * self._gj_weights
+        v, dim = self._shape.value, self._dim
+        x = 0.5 * au * au
+        with np.errstate(divide="ignore"):  # log 0 = -inf gives x^M = 0
+            m_log_x = v * np.log(x)
+        terms = np.expm1(v * _log_phi(x[:, None] * self._gj_nodes ** 2)) * self._gj_weights
+        psi = np.exp(m_log_x) * terms.sum(axis=1)
+        core = (2.0 * v - dim * np.expm1(m_log_x)) / dim - psi
+        return au / (2.0 * v + dim) * core * (au / self._unit) ** (dim - 1)
 
     def _blocks(self, r: np.ndarray, fill: float, band_fn, mid_fn) -> np.ndarray:
         """Evaluate a mass at a 1-D array ``r >= 0`` in blocks of `_CDF_BLOCK`.
@@ -382,10 +361,11 @@ class _CdfTable:
         w = 0.5 * s * s
         n_band = _GL_NODES.size
         h = np.concatenate((np.exp(w[:n_band]), _profile_tail_series(w[n_band:], self._shape)))
-        v, band = self._shape.value, edges[1:2]
+        v, band = self._shape.value, edges[1]
         sj = band * self._gj_nodes
-        hj = (-band ** (2.0 * v + 1.0) * 2.0 ** (-3.0 * v - 1.0) * self._band_terms(band)[0]
-              * np.exp(0.5 * sj * sj))
+        x = 0.5 * band * band
+        hj = (-band * x ** v / (2.0 * v + 1.0) * self._gj_weights
+              * np.exp(v * _log_phi(x * self._gj_nodes ** 2) + 0.5 * sj * sj))
         return np.concatenate((s, sj)), np.concatenate(((half * _GL_WEIGHTS).ravel() * h, hj))
 
     @cached_property
@@ -433,7 +413,7 @@ _RADIUS_BLOCK = 8192
 #: Largest |score| the radial inverse's grid reaches, about 8.854: the score
 #: of the Gaussian tail beyond 8.5, ~9.5e-18.  A float generator's nonzero
 #: uniforms, multiples of 2^-53, have scores below 8.6.
-_SCORE_REACH = float(_log_tail_score(np.array([0.5 * erfc(8.5 * math.sqrt(0.5))]))[0])
+_SCORE_REACH = float(_log_tail_score(np.array([0.5 * math.erfc(8.5 * math.sqrt(0.5))]))[0])
 
 #: Coarse radii at which the radial score is computed once per inverse to
 #: place its nodes: geometric up to the mode band (the lower tail is a power
@@ -661,10 +641,13 @@ class MultiGauss:
     def pdf(self, x):
         """Density at ``x`` (scalar or array), by the stable closed form."""
         x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):  # past the float range w is inf: density 0
+        # past the float range w is inf: density 0; a subnormal or zero
+        # normalization gives inf, or NaN where the profile underflows too
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             u = (x - self._mu) / self._sigma
             w = 0.5 * u * u
-        return mg_profile(w, self._shape) / (self.c0 * _SQRT_2PI * self._sigma)
+            out = np.divide(mg_profile(w, self._shape), self.c0 * _SQRT_2PI * self._sigma)
+        return float(out) if x.ndim == 0 else out
 
     def logpdf(self, x):
         """Log-density, finite for every finite ``x``.
@@ -760,7 +743,7 @@ class MultiGauss:
                                    lambda p, s: 0.5 * (np.exp(-0.5 * (s - p) ** 2)
                                                        + np.exp(-0.5 * (s + p) ** 2)))
         # the mirror term erfc((reach + a)/sqrt(2)) underflows to 0 for every a >= 0
-        far = erfc((_CDF_REACH - a) / math.sqrt(2.0))
+        far = np.array([math.erfc(z) for z in (_CDF_REACH - a) / math.sqrt(2.0)])
         return near + self._shape.value * math.sqrt(math.pi / 8.0) * far
 
     def cf(self, omega):

@@ -248,3 +248,70 @@ class TestNonFiniteAndGridBounds:
         payload = json.loads(err.splitlines()[0])
         assert payload["error"]["type"] == "invalid_input"
         assert "grid bounds must be finite with from < to" in payload["error"]["message"]
+
+
+class TestRowCap:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "pdf", "mg", "--points", "100000000000"],
+        ["eval", "quantile", "mg", "--m", "2", "--points", "100000000000"],
+        ["eval", "pdf", "mv", "--points", "4000"],
+        ["sample", "mg", "--m", "2", "--n", "100000000000", "--seed", "1"],
+        ["sample", "mv", "--m", "2", "--n", "100000000000", "--seed", "1"],
+    ])
+    def test_too_many_rows_exit_2_before_allocating(self, capsys, monkeypatch, argv):
+        import numpy as np
+
+        from multigauss import MultiGauss, MvMultiGauss
+
+        def allocates(*args, **kwargs):
+            raise AssertionError("a grid or a sample was allocated")
+
+        monkeypatch.setattr(np, "linspace", allocates)
+        monkeypatch.setattr(MultiGauss, "sample", allocates)
+        monkeypatch.setattr(MvMultiGauss, "sample", allocates)
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        payload = json.loads(err.splitlines()[0])
+        assert payload["error"]["type"] == "invalid_input"
+        assert "a table holds at most 10000000" in payload["error"]["message"]
+
+    def test_the_cap_itself_is_allowed(self, capsys, monkeypatch):
+        from multigauss import cli
+
+        monkeypatch.setattr(cli, "_MAX_ROWS", 9)
+        assert run(capsys, ["eval", "pdf", "mv", "--points", "3"])[0] == 0
+        assert run(capsys, ["eval", "pdf", "mg", "--points", "9"])[0] == 0
+        assert run(capsys, ["sample", "mg", "--n", "9", "--seed", "1"])[0] == 0
+        assert run(capsys, ["eval", "pdf", "mv", "--points", "4"])[0] == 2
+        assert run(capsys, ["eval", "pdf", "mg", "--points", "10"])[0] == 2
+        assert run(capsys, ["sample", "mg", "--n", "10", "--seed", "1"])[0] == 2
+
+
+class TestDensityOverflow:
+    @pytest.mark.parametrize("flag", [["--m", "1e-320"], ["--sigma", "1e-310"]])
+    def test_infinite_density_exits_3_without_a_warning(self, capsys, flag):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["eval", "pdf", "mg", *flag, "--points", "5"])
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"]["type"] == "series_not_converged"
+        assert "non-finite output" in payload["error"]["message"]
+
+    def test_library_density_below_the_float_range_is_silent(self):
+        import warnings
+
+        import numpy as np
+
+        from multigauss import MultiGauss, MvMultiGauss
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # zero normalizations: a scalar point gets inf, not ZeroDivisionError
+            assert MultiGauss(0.0, 1e-320, 1e-10).pdf(0.0) == math.inf
+            mv = MvMultiGauss(np.zeros(3), 1e-250 * np.eye(3), 2.0)
+            assert mv.pdf(np.zeros(3)) == math.inf
+            assert np.all(mv.pdf(np.zeros((2, 3))) == math.inf)

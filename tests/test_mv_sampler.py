@@ -13,17 +13,19 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import roots_jacobi
 
 from multigauss import MultiGauss, MvMultiGauss, SeriesNotConverged
 from multigauss.series import ShapeParam
 from multigauss.univariate import (
-    _CDF_BAND, _CDF_EDGES, _CDF_REACH, _GJ_ORDER, _GL_NODES, _GL_WEIGHTS, _INVERSE_NODES,
+    _CDF_BAND, _CDF_EDGES, _CDF_REACH, _GL_NODES, _GL_WEIGHTS, _INVERSE_NODES,
     _RADIUS_CANDIDATES, _SCORE_REACH, _CdfTable, _log_tail_score, _RadialInverse,
     _radial_score, _score_step, mg_profile,
 )
 
 SHAPES = (1e-3, 0.025, 0.5, 1, 2.5, 10, 40, 54)
+#: Shapes so small that ``(1 - e^-w)^M`` is within ~M of 1: their references
+#: take 40 digits instead of 20.
+TINY_SHAPES = (1e-9, 1e-6)
 DIMS = (2, 3, 5)
 QS = (1e-6, 0.01, 0.5, 1.0, 2.0, 4.0, 9.0, 16.0, 25.0, 40.0)
 
@@ -41,7 +43,7 @@ def _radial_masses(mval, dim, qs):
     The upper tail is the sum of the pieces beyond ``q`` plus the tail
     beyond the last point, never ``1 - P(Q <= q)``.
     """
-    with mp.workdps(20):
+    with mp.workdps(40 if mval in TINY_SHAPES else 20):
         m = mp.mpf(mval)
         f = lambda r: r ** (dim - 1) * _profile(r * r / 2, m)
         edges = [mp.mpf(0)] + [mp.sqrt(mp.mpf(q)) for q in qs]
@@ -54,7 +56,7 @@ def _radial_masses(mval, dim, qs):
 
 
 @pytest.mark.parametrize("dim", DIMS)
-@pytest.mark.parametrize("mval", SHAPES)
+@pytest.mark.parametrize("mval", SHAPES + TINY_SHAPES)
 def test_ellipsoid_mass_matches_mpmath(mval, dim):
     below, above = _radial_masses(mval, dim, QS)
     mv = MvMultiGauss(np.zeros(dim), np.eye(dim), mval)
@@ -66,6 +68,31 @@ def test_ellipsoid_mass_matches_mpmath(mval, dim):
     # ... and 1 - mass is that tail up to the float spacing below 1
     above = np.array(above)
     assert np.all(np.abs((1.0 - mass) - above) <= np.maximum(1e-10 * above, 2.0**-53))
+
+
+@pytest.mark.parametrize("dim", (1, 3))
+@pytest.mark.parametrize("mval", (520, 1e4))
+def test_table_of_a_wide_flat_top_matches_mpmath(mval, dim):
+    # 2M + N is past ~1030: the band rule's weights sum to 1, so no mass
+    # 2^(2M+N)/(2M+N) overflows
+    top = math.sqrt(2.0 * math.log(mval))  # where the flat top ends
+    radii = np.array([1e-3, 0.1, 0.3, 1.0, 2.0, 3.0, top - 0.5, top, top + 1.0, top + 2.0])
+    with mp.workdps(30):
+        m = mp.mpf(mval)
+        f = lambda r: r ** (dim - 1) * _profile(r * r / 2, m)
+        edges = [mp.mpf(0)] + [mp.mpf(float(r)) for r in radii]
+        pieces = [mp.quad(f, [a, b]) for a, b in zip(edges[:-1], edges[1:])]
+        pieces.append(mp.quad(f, [edges[-1], edges[-1] + 2, edges[-1] + 6, mp.inf]))
+        total = mp.fsum(pieces)
+        below = np.array([float(mp.fsum(pieces[:k + 1]) / total) for k in range(radii.size)])
+        above = np.array([float(mp.fsum(pieces[k + 1:]) / total) for k in range(radii.size)])
+    table = _CdfTable(ShapeParam.of(mval), dim)
+    np.testing.assert_allclose(table.below(radii), below, rtol=1e-15, atol=0.0)
+    # the upper tail keeps 1e-15 over the flat top; past it, where the tail
+    # falls below ~1e-2, its panels hold ~2e-15 at every M
+    flat = radii <= top
+    np.testing.assert_allclose(table.above(radii[flat]), above[flat], rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(table.above(radii), above, rtol=1e-14, atol=0.0)
 
 
 def test_ellipsoid_mass_edges():
@@ -83,10 +110,11 @@ def test_ellipsoid_mass_edges():
 def _unit_table_lower_tail(shape, au):
     """The univariate table's lower tail as it was written before the table
     took a dimension: band rule without the ``v^(dim-1)`` factor, panels
-    without the radial weight."""
+    without the radial weight.  The band is the closed form on the table's
+    own Gauss-Jacobi nodes and weights."""
     v = shape.value
-    xg, wg = roots_jacobi(_GJ_ORDER, 0.0, 2.0 * v)
-    nodes = 0.5 * (1.0 + xg)
+    table = _CdfTable(shape, 1)
+    nodes, weights = table._gj_nodes, table._gj_weights
 
     def legendre(lo, hi):
         half = 0.5 * (hi - lo)
@@ -94,11 +122,15 @@ def _unit_table_lower_tail(shape, au):
         return half * (mg_profile(0.5 * s * s, shape) * _GL_WEIGHTS).sum(axis=1)
 
     def band(a):
-        y = 0.5 * (a[:, None] * nodes) ** 2
+        # a/(2M+1) [2M - expm1(M log x) - x^M sum_j w_j expm1(M log phi_j)], x = a^2/2
+        x = 0.5 * a * a
+        with np.errstate(divide="ignore"):
+            m_log_x = v * np.log(x)
+        y = x[:, None] * nodes ** 2
         safe = np.where(y > 0.0, y, 1.0)
-        phi = np.where(y > 0.0, -np.expm1(-safe) / safe, 1.0)
-        chi = (np.exp(v * np.log(phi)) * wg).sum(axis=1)
-        return a - a ** (2.0 * v + 1.0) * 2.0 ** (-3.0 * v - 1.0) * chi
+        log_phi = np.where(y > 0.0, np.log(-np.expm1(-safe) / safe), 0.0)
+        psi = np.exp(m_log_x) * (np.expm1(v * log_phi) * weights).sum(axis=1)
+        return a / (2.0 * v + 1.0) * (2.0 * v - np.expm1(m_log_x) - psi)
 
     tail = np.zeros(_CDF_EDGES.size)
     tail[1:-1] = np.cumsum(legendre(_CDF_EDGES[1:-1], _CDF_EDGES[2:])[::-1])[::-1]
@@ -375,9 +407,9 @@ def test_dimension_beyond_the_table_raises():
 
 
 @pytest.mark.parametrize("dim,mval", [(1100, 1), (1300, 2)])
-def test_overflowing_band_rule_raises_rather_than_nan(dim, mval):
-    # past 2M + N ~ 1030 the Jacobi rule's mass overflows and the table's
-    # masses are NaN: the reach check must reject them
+def test_law_beyond_the_reach_raises_in_high_dimension(dim, mval):
+    # the radius concentrates near sqrt(N) ~ 33-36, within 4 of the table's
+    # reach: the reach check must reject the table
     mv = MvMultiGauss(np.zeros(dim), np.eye(dim), mval)
     with pytest.raises(ValueError, match="beyond the table"):
         mv.ellipsoid_mass(float(dim))

@@ -1,13 +1,17 @@
-"""The runtime imports only `scipy.special`.
+"""The runtime imports only `scipy.special`, for `zeta` and `gammaincinv`.
 
-The Gauss-Jacobi rule of the CDF table and the chi-square critical value of
-`verify` are computed in the package, and must keep the bits of the scipy
-routines they replace, which stay available to the tests.  The Mahalanobis
-form's forward substitution must agree with `scipy.linalg.solve_triangular`
-to a few ulp.  A fresh interpreter shows which scipy modules an import, and
-the calls after it, pull in.
+The CDF, sampler and density layers (`univariate`, `multivariate`,
+`logmg`) import no scipy at all.  The Gauss-Jacobi rule of the CDF table is
+built in the package by the Golub-Welsch algorithm and must integrate the
+moments of its weight and put its nodes where `scipy.special.roots_jacobi`
+does; the chi-square critical value of `verify` must keep the bits of the
+scipy routine it replaces.  Both scipy routines stay available to the
+tests.  The Mahalanobis form's forward substitution must agree with
+`scipy.linalg.solve_triangular` to a few ulp.  A fresh interpreter shows
+which scipy modules an import, and the calls after it, pull in.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -17,20 +21,25 @@ import numpy as np
 import pytest
 
 import multigauss
-from multigauss import MvMultiGauss, univariate
+from multigauss import MvMultiGauss, logmg, multivariate, univariate
 from multigauss.verify import _chi2_critical
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 9])
-def test_gauss_jacobi_rule_has_the_bits_of_scipy(dim):
+def test_jacobi_rule_integrates_the_moments_of_its_weight(dim):
     from scipy.special import roots_jacobi
 
-    shapes = np.concatenate((np.geomspace(1e-3, 400, 300), [0.025, 0.5, 2.5, 10, 40, 54]))
+    shapes = np.concatenate((np.geomspace(1e-9, 1e4, 300), [0.025, 0.5, 2.5, 10, 40, 54]))
+    k = np.arange(48)
     for mval in shapes:
-        beta = 2.0 * mval + (dim - 1)
-        x, w = univariate._roots_jacobi(univariate._GJ_ORDER, 0.0, beta)
-        want_x, want_w = roots_jacobi(univariate._GJ_ORDER, 0, beta)
-        assert np.array_equal(x, want_x) and np.array_equal(w, want_w), mval
+        b = 2.0 * mval + (dim - 1)
+        nodes, weights = univariate._jacobi_rule(univariate._GJ_ORDER, b)
+        # sum_j w_j v_j^k = (b + 1) int_0^1 v^(b+k) dv, exact for k < 48
+        got = (weights[:, None] * nodes[:, None] ** k).sum(axis=0)
+        np.testing.assert_allclose(got, (b + 1.0) / (b + k + 1.0), rtol=1e-13, atol=0.0)
+        with np.errstate(over="ignore"):  # scipy's rule mass overflows past b ~ 1030
+            want_x = roots_jacobi(univariate._GJ_ORDER, 0, b)[0]
+        assert np.max(np.abs(nodes - 0.5 * (1.0 + want_x))) <= 1e-15, mval
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 20, 200])
@@ -64,6 +73,16 @@ def test_mahalanobis_form_of_non_finite_points_is_silent_and_local():
     z = solve_triangular(mv.chol, pts.T, lower=True, check_finite=False)
     keep = [0, 2, 4]
     np.testing.assert_allclose(q[keep], np.sum(z * z, axis=0)[keep], rtol=2e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("module", [univariate, multivariate, logmg])
+def test_density_cdf_and_sampler_layers_import_no_scipy(module):
+    with open(module.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names]
+    names += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not [n for n in names if n.split(".")[0] == "scipy"]
 
 
 def test_chi2_critical_value_has_the_bits_of_scipy_stats():
