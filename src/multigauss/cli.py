@@ -20,8 +20,8 @@ objects).  Exit codes: 0 success, 1 verification failure, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
 import os
@@ -63,28 +63,45 @@ def _table(**columns) -> np.recarray:
     return np.rec.fromarrays(cols, names=list(columns))
 
 
+#: Rows formatted and written at a time: the text of a large table (a
+#: sample of millions of draws) is never held whole.
+_EMIT_BLOCK = 65_536
+
+
+def _json_block(block: np.recarray, names, first: bool, last: bool) -> str:
+    """``json.dumps`` of a block's rows, less the brackets where another block joins it.
+
+    The blocks of a table join to ``json.dumps`` of all its rows; a table of
+    one block is that text itself, not a copy.
+    """
+    text = json.dumps([dict(zip(names, row)) for row in block.tolist()])
+    return ("" if first else ", ") + text[(not first):len(text) - (not last)]
+
+
 def _emit(table: np.recarray, fmt: str, *, out_path: str | None) -> None:
     """Write a table as CSV (float cells with 17 significant digits) or JSON.
 
-    ``out_path`` is keyword-only so that wrappers (the perfbench tracer) find
-    the output file under that name.
+    The rows are formatted and written `_EMIT_BLOCK` at a time; the bytes
+    are those of the whole table formatted at once.  ``out_path`` is
+    keyword-only so that wrappers (the perfbench tracer) find the output
+    file under that name.
     """
-    names = table.dtype.names
-    if fmt == "json":
-        text = json.dumps([dict(zip(names, row)) for row in table.tolist()])
-    else:
-        cols = [[f"{v:.17g}" for v in table[n].tolist()] if table.dtype[n].kind == "f"
-                else table[n].tolist() for n in names]
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(names)
-        writer.writerows(zip(*cols))
-        text = buf.getvalue()
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    names, rows = table.dtype.names, len(table)
+    # each block's text is a temporary of one statement, gone before the next is made
+    with (open(out_path, "w", encoding="utf-8") if out_path
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        if fmt == "json":
+            for i in range(0, max(rows, 1), _EMIT_BLOCK):
+                fh.write(_json_block(table[i:i + _EMIT_BLOCK], names, i == 0,
+                                     i + _EMIT_BLOCK >= rows))
+        else:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(names)
+            for i in range(0, rows, _EMIT_BLOCK):
+                block = table[i:i + _EMIT_BLOCK]
+                writer.writerows(zip(*[
+                    [f"{v:.17g}" for v in block[n].tolist()] if table.dtype[n].kind == "f"
+                    else block[n].tolist() for n in names]))
 
 
 def _check_rows(rows: int, what: str) -> None:

@@ -23,7 +23,9 @@ hazards live here:
   ``M`` is small.  After the truncated partial sum, the remaining tail is in
   the constant-sign asymptotic regime and is completed analytically through
   Hurwitz zeta functions, which restores near machine precision at the
-  default cap of 2000 terms.  The terms are formed in numpy, a block of up
+  default cap of 2000 terms.  The zeta values come from `_hurwitz_zeta`, in
+  this module: direct terms, then the Euler-Maclaurin formula, so nothing
+  here needs more than numpy.  The terms are formed in numpy, a block of up
   to 2048 at a time, and the kept terms and the tail are summed with the
   correctly rounded ``math.fsum``.
 
@@ -36,9 +38,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import mul
 
 import numpy as np
-from scipy.special import zeta as _hurwitz_zeta
 
 __all__ = [
     "INTEGER_DETECTION_TOL",
@@ -228,6 +230,76 @@ def signed_coeffs(m_shape, n: int) -> np.ndarray:
 # tail completion for fractional shapes
 # ---------------------------------------------------------------------------
 
+#: Bernoulli numbers ``B_2j`` for ``j = 1..14`` as (numerator, denominator).
+_BERNOULLI_2J = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+                 (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
+                 (-236364091, 2730), (8553103, 6), (-23749461029, 870))
+#: The Euler-Maclaurin coefficients ``B_2j / (2j)!``, each rounded once.
+_EM_COEFFS = tuple(num / (den * math.factorial(2 * j))
+                   for j, (num, den) in enumerate(_BERNOULLI_2J, 1))
+
+
+def _hurwitz_zeta(s: float, a: float, orders: int = 1) -> list[float]:
+    """``zeta(s + i, a) = sum_{k >= 0} (a + k)^-(s + i)`` for ``i = 0..orders-1``.
+
+    For ``s > 1`` and ``a >= 1``.  The first ``K`` terms are summed
+    directly, until ``N = a + K`` passes ``s + orders + 19``; the rest is
+    the Euler-Maclaurin formula at ``N`` (DLMF 2.10.1, as in DLMF 25.11(iii)):
+
+        zeta(s, N) = N^(1-s) / (s-1) + N^-s / 2
+                     + sum_j B_2j / (2j)! (s)_(2j-1) N^(1-s-2j),
+
+    with ``(s)_k = s (s+1) ... (s+k-1)``.  Past ``N`` the corrections shrink
+    by about ``(s + 2j)^2 / (2 pi N)^2`` each, so fewer than 14 reach 1e-18
+    of the sum.  The orders share ``N``, one power each, one list of rising
+    factorials (``(s+i)_k = (s)_(i+k) / (s)_i``) and one loop over the
+    corrections, which stops once the top order's falls below 1e-18 of its
+    integral term: each lower order's is smaller still.
+
+    Where the terms fall below ``e^-45`` of the first within 128 terms past
+    ``N`` (large ``s``), they alone are summed.  The work is so bounded
+    whatever ``s``, and where even the bound ``a^-s (1 + a/(s-1))`` on the
+    sum rounds to zero every order is zero at once.
+    """
+    if s * math.log(a) - math.log1p(a / (s - 1.0)) > 745.2:
+        return [0.0] * orders
+    top = s + (orders - 1)
+    count = max(math.ceil(top + 20.0 - a), 0)
+    # past `reach` terms each is below e^-45 of the first: their sum, relative
+    # to the first, is under 1e-18 wherever the direct sum is taken
+    reach = math.ceil(a * math.expm1(45.0 / s))
+    direct = reach <= count + 128
+    terms = reach if direct else count
+    head = [0.0] * orders
+    if terms:
+        x = a + np.arange(float(terms))
+        head = (x ** -(s + np.arange(float(orders)))[:, None]).sum(axis=1).tolist()
+    if direct:
+        return head
+    n = a + count
+    rising = [1.0]  # rising[k] = (s)_k
+    for k in range(orders):
+        rising.append(rising[-1] * (s + k))
+    # the top order's correction j, over n^-top, is weights[j] rising[-1] / rising[orders - 1]
+    bound = 1e-18 * n / (top - 1.0) * rising[-2]
+    weights = []  # B_2j / (2j)! n^(1-2j)
+    w = 1.0 / n
+    for c in _EM_COEFFS:
+        weights.append(c * w)
+        if abs(weights[-1] * rising[-1]) <= bound:
+            break
+        k = len(rising) - 1
+        rising.append(rising[-1] * (s + k))
+        rising.append(rising[-1] * (s + k + 1.0))
+        w /= n * n
+    out = []
+    for i, h in enumerate(head):
+        sigma = s + i  # 1 - sigma is exact; 1 - s - i would round twice
+        corr = sum(map(mul, weights, rising[i + 1::2])) / rising[i]
+        out.append(h + n ** (1.0 - sigma) * (1.0 / (sigma - 1.0) + (0.5 + corr) / n))
+    return out
+
+
 def _tail_coeffs(v: float):
     """Coefficients of the large-m expansion of Gamma(m-M)/Gamma(m+1) * m^(M+1).
 
@@ -255,11 +327,13 @@ def series_tail(alpha: float, m_shape, n_summed: int):
 
     valid for non-integer M, so the tail is a constant-sign sum of smooth
     terms ``~ m^(-M-1-alpha)`` which reduces to Hurwitz zeta values after the
-    asymptotic expansion of the Gamma ratio.  The residual estimate is the
-    magnitude of the last retained correction; it bounds the truncation of
-    the expansion itself.  Returns ``(0.0, 0.0)`` for integer shapes (no
-    tail) and ``(0.0, inf)`` when the completion is not applicable (divergent
-    exponent or too few summed terms) or leaves the float range.
+    asymptotic expansion of the Gamma ratio.  The five zeta values come from
+    one call of `_hurwitz_zeta`, this module's Euler-Maclaurin sum.  The
+    residual estimate is the magnitude of the last retained correction; it
+    bounds the truncation of the expansion itself.  Returns ``(0.0, 0.0)``
+    for integer shapes (no tail) and ``(0.0, inf)`` when the completion is
+    not applicable (divergent exponent or too few summed terms) or leaves
+    the float range.
     """
     shape = ShapeParam.of(m_shape)
     if shape.is_integer:
@@ -278,12 +352,10 @@ def series_tail(alpha: float, m_shape, n_summed: int):
         return 0.0, math.inf
     kappa = v / gamma
     cs = _tail_coeffs(v)
-    zs = _hurwitz_zeta(s0 + np.arange(5.0), n_summed + 1.0)
-    if not np.all(np.isfinite(zs)):
-        return 0.0, math.inf
+    zs = _hurwitz_zeta(s0, n_summed + 1.0, len(cs))
     # float arithmetic, which overflows to inf or nan without a warning
-    tail = kappa * float(np.dot(cs, zs))
-    residual = abs(kappa * cs[4] * float(zs[4]))
+    tail = kappa * sum(map(mul, cs, zs))
+    residual = abs(kappa * cs[4] * zs[4])
     if not (math.isfinite(tail) and math.isfinite(residual)):
         # near M = 171 the reflection constant or the expansion leaves the float range
         return 0.0, math.inf

@@ -315,3 +315,59 @@ class TestDensityOverflow:
             mv = MvMultiGauss(np.zeros(3), 1e-250 * np.eye(3), 2.0)
             assert mv.pdf(np.zeros(3)) == math.inf
             assert np.all(mv.pdf(np.zeros((2, 3))) == math.inf)
+
+
+class TestBlockedEmit:
+    """Tables are formatted and written in blocks of `cli._EMIT_BLOCK` rows."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7, 9])
+    def test_blocks_join_to_the_bytes_of_the_whole_table(self, capsys, monkeypatch, fmt, rows):
+        import numpy as np
+
+        from multigauss import cli
+
+        table = cli._table(x=np.linspace(-1.0, 1.0, rows), value=np.arange(rows) / 7.0,
+                           series="M=2.5")
+        cells = [(float(x), float(v), s) for x, v, s in table.tolist()]
+        if fmt == "json":
+            want = json.dumps([dict(zip(("x", "value", "series"), c)) for c in cells])
+        else:
+            want = "x,value,series\n" + "".join(f"{x:.17g},{v:.17g},{s}\n" for x, v, s in cells)
+        monkeypatch.setattr(cli, "_EMIT_BLOCK", 3)
+        cli._emit(table, fmt, out_path=None)
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_memory_does_not_grow_with_the_table(self, tmp_path, fmt):
+        """Emitting eight blocks' rows peaks no higher than emitting one block's.
+
+        Formatting the whole table at once held ~300 (CSV) to ~500 (JSON)
+        bytes a row: 30-60 MB more for the seven extra blocks of 16,384.
+        """
+        import os
+        import subprocess
+        import sys
+
+        pytest.importorskip("resource")
+        import multigauss
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(multigauss.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = f"""
+import resource
+import numpy as np
+from multigauss import cli
+rows = cli._EMIT_BLOCK = 16_384
+table = cli._table(x=np.arange(1.0, 8 * rows + 1), value=np.random.default_rng(1).random(8 * rows),
+                   series="M=2.5")
+peak = []
+for part in (table[:rows], table):
+    cli._emit(part, {fmt!r}, out_path={str(tmp_path / "out")!r})
+    peak.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(peak[1] - peak[0])
+"""
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert int(out) < 8 * 1024  # kB: ru_maxrss of Linux

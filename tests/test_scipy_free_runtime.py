@@ -1,7 +1,11 @@
-"""The runtime imports only `scipy.special`, for `zeta` and `gammaincinv`.
+"""The runtime imports scipy only in `verify`, for `gammaincinv`.
 
-The CDF, sampler and density layers (`univariate`, `multivariate`,
-`logmg`) import no scipy at all.  The Gauss-Jacobi rule of the CDF table is
+The series, oracle, CDF, sampler and density layers (`series`, `oracle`,
+`univariate`, `multivariate`, `logmg`) import no scipy at all, so
+`import multigauss` and every library call run on numpy alone: a fresh
+interpreter in which any scipy import raises runs them.  The Hurwitz zeta
+of the series tail is the package's own (`tests/test_hurwitz_zeta.py`
+checks it).  The Gauss-Jacobi rule of the CDF table is
 built in the package by the Golub-Welsch algorithm and must integrate the
 moments of its weight and put its nodes where `scipy.special.roots_jacobi`
 does; the chi-square critical value of `verify` must keep the bits of the
@@ -21,7 +25,7 @@ import numpy as np
 import pytest
 
 import multigauss
-from multigauss import MvMultiGauss, logmg, multivariate, univariate
+from multigauss import MvMultiGauss, logmg, multivariate, oracle, series, univariate
 from multigauss.verify import _chi2_critical
 
 
@@ -75,7 +79,7 @@ def test_mahalanobis_form_of_non_finite_points_is_silent_and_local():
     np.testing.assert_allclose(q[keep], np.sum(z * z, axis=0)[keep], rtol=2e-15, atol=0.0)
 
 
-@pytest.mark.parametrize("module", [univariate, multivariate, logmg])
+@pytest.mark.parametrize("module", [series, oracle, univariate, multivariate, logmg])
 def test_density_cdf_and_sampler_layers_import_no_scipy(module):
     with open(module.__file__, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
@@ -90,6 +94,44 @@ def test_chi2_critical_value_has_the_bits_of_scipy_stats():
 
     for df in range(1, 501):
         assert _chi2_critical(df) == float(chi2.ppf(0.99, df)), df
+
+
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter that finds this package; return its stdout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(multigauss.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+#: Every library call, in an interpreter where any scipy import raises.
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+import multigauss
+from multigauss import (BivariateParams, LogMultiGauss, MultiGauss, MvMultiGauss,
+                        bivariate_pdf, series_s, series_tail, xi_coeff)
+xs = np.linspace(-4.0, 4.0, 9)
+for m in (0.025, 0.5, 2.5, 12.3, 40.5, 10.0, 54.0):
+    d = MultiGauss(0.3, 1.2, m)
+    d.pdf(xs), d.logpdf(xs), d.cdf(xs), d.quantile([0.01, 0.5, 0.99])
+    d.mgf([-1.0, 0.5]), d.cf([0.5, 3.0]), d.xi(2), d.sample(50, np.random.default_rng(1))
+    lg = LogMultiGauss(0.1, 0.7, m)
+    lg.pdf([0.5, 2.0]), lg.cdf([0.5, 2.0]), lg.moment(1), lg.sample(20, np.random.default_rng(2))
+    for n in (2, 3):
+        mv = MvMultiGauss(np.zeros(n), np.eye(n) + 0.3, m)
+        mv.pdf(np.ones((4, n))), mv.ellipsoid_mass([0.5, 2.0, 9.0])
+        mv.sample(50, np.random.default_rng(3))
+    bivariate_pdf(BivariateParams(0.0, 1.0, 1.0, 2.0, 0.4), m, xs, xs)
+    series_s(0.5, m), xi_coeff(2, m), series_tail(0.5, m, 2000)
+print(sorted(k for k in sys.modules if k.split(".")[0] == "scipy"))
+"""
+
+
+def test_library_runs_with_scipy_blocked():
+    assert run_fresh(WITHOUT_SCIPY).strip() == "['scipy']"
 
 
 #: Calls after the import: a cdf, a quantile, an mg and an mv sample, an mv pdf.
@@ -109,12 +151,7 @@ mv.sample(100, np.random.default_rng(2)), mv.pdf([[0.1, 0.2], [1.0, -1.0]])
     pytest.param("multigauss.cli", CALLS, id="multigauss.cli-then-calls"),
 ])
 def test_import_leaves_out_the_heavy_scipy_modules(module, calls):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(multigauss.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     heavy = ("scipy.stats", "scipy.interpolate", "scipy.optimize", "scipy.linalg")
     code = (f"import sys, {module}\n{calls}\n"
             f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == ""
+    assert run_fresh(code).strip() == ""
