@@ -28,6 +28,8 @@ import os
 import sys
 
 import numpy as np
+from numpy import rec
+from numpy.random import PCG64, Generator
 
 from .logmg import LogMultiGauss
 from .multivariate import BivariateParams, MvMultiGauss
@@ -60,7 +62,7 @@ def _table(**columns) -> np.recarray:
     A scalar column (the series label) is repeated on every row.
     """
     cols = np.broadcast_arrays(*(np.asarray(c) for c in columns.values()))
-    return np.rec.fromarrays(cols, names=list(columns))
+    return rec.fromarrays(cols, names=list(columns))
 
 
 #: Rows formatted and written at a time: the text of a large table (a
@@ -158,10 +160,10 @@ def _surface(mv: MvMultiGauss, x1: np.ndarray, x2: np.ndarray, label: str) -> np
     return _table(x1=g1, x2=g2, value=mv.pdf(np.stack([g1, g2], axis=1)), series=label)
 
 
-def _make_rng(seed: int) -> np.random.Generator:
+def _make_rng(seed: int) -> Generator:
     if seed < 0 or seed > 2**64 - 1:
         raise ValueError("seed must be a 64-bit unsigned integer")
-    return np.random.Generator(np.random.PCG64(seed))
+    return Generator(PCG64(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="highest moment/cumulant order")
     p_eval.add_argument("--format", choices=["csv", "json"], default="csv")
     p_eval.add_argument("--out", default=None, help="output file (default stdout)")
-    p_eval.set_defaults(func=cmd_eval)
 
     p_sample = sub.add_parser("sample", help="draw reproducible variates")
     p_sample.add_argument("family", choices=["mg", "lmg", "mv"])
@@ -377,20 +378,17 @@ def build_parser() -> argparse.ArgumentParser:
                           help="64-bit seed of the PCG64 generator")
     p_sample.add_argument("--format", choices=["csv", "json"], default="csv")
     p_sample.add_argument("--out", default=None)
-    p_sample.set_defaults(func=cmd_sample)
 
     p_fig = sub.add_parser("figure", help="emit data files for a figure preset")
     p_fig.add_argument("id", type=int, help="figure preset 1..8")
     p_fig.add_argument("--out-dir", default=".", help="target directory")
     p_fig.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_fig.set_defaults(func=cmd_figure)
 
     p_ver = sub.add_parser("verify", help="run the oracle verification suites")
     p_ver.add_argument("--suite", choices=["all"] + list(verify_mod.SUITES),
                        default="all")
     p_ver.add_argument("--format", choices=["csv", "json"], default="csv")
     p_ver.add_argument("--out", default=None)
-    p_ver.set_defaults(func=cmd_verify)
     return parser
 
 
@@ -416,12 +414,17 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+#: Built once, at import: a command parses its arguments and imports nothing.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(
+    args = _PARSER.parse_args(_attach_negative_values(
         sys.argv[1:] if argv is None else list(argv)))
+    # looked up at call time, so that a wrapper put on ``cmd_<command>`` is called
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except SeriesNotConverged as exc:
         return _error("series_not_converged", str(exc), EXIT_NOT_CONVERGED)
     except (ValueError, TypeError) as exc:

@@ -737,7 +737,7 @@ class MultiGauss:
         s, h = self._cdf_table.rule
         bound = _MGF_WINDOW_STEP * np.ceil((a + _MGF_WINDOW) / _MGF_WINDOW_STEP)
         near = np.full_like(a, np.nan)
-        for b in np.unique(bound[~np.isnan(bound)]):
+        for b in sorted(set(bound[~np.isnan(bound)].tolist())):
             keep, pick = s <= b, bound == b
             near[pick] = _rule_sum(a[pick], s[keep], h[keep],
                                    lambda p, s: 0.5 * (np.exp(-0.5 * (s - p) ** 2)
@@ -767,7 +767,7 @@ class MultiGauss:
         parts = np.ceil(np.maximum(a, 1.0) / _CF_PANEL_FREQ)
         r = np.full_like(a, np.nan)
         table = self._cdf_table
-        for k in np.unique(parts[~np.isnan(a)]):
+        for k in sorted(set(parts[~np.isnan(a)].tolist())):
             s, h = table.cf_rule if k == 1 else table.expectation_rule(int(k), tail=_CF_TAIL)
             q = h * np.exp(-0.5 * s * s)
             pick = parts == k

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .logmg import LogMultiGauss
 from .multivariate import BivariateParams, MvMultiGauss, bivariate_pdf
@@ -286,13 +285,59 @@ def _mv_mass(mv: MvMultiGauss, reach: float = 10.0) -> float:
                                (reach * s1, reach * s2), panels_per_side=40, order=8)
 
 
+#: Largest degrees of freedom `_chi2_critical` serves (the goodness-of-fit
+#: check of the mv suite reaches 400); up to it the result is checked
+#: against 40-digit references.
+_CHI2_MAX_DF = 500
+
+#: ``Phi^-1(0.99)``, the standard normal upper 1 % point.
+_Z99 = 2.3263478740408408
+#: Newton steps `_chi2_critical` takes at most (it takes three or four).
+_NEWTON_STEPS = 30
+
+
+def _chi2_upper(df: int, x: float) -> tuple[float, float]:
+    """``Q(df/2, x/2)`` and ``e^-h h^(df/2) / Gamma(df/2 + 1)`` with ``h = x/2``.
+
+    ``Q`` is the regularized upper incomplete gamma function, in closed form
+    at integer and half-integer shape (DLMF 8.4): ``e^-h sum_{j<k} h^j/j!``
+    for ``df = 2k`` and ``erfc(sqrt h) + e^-h sum_{j=1..k}
+    h^(j-1/2)/Gamma(j+1/2)`` for ``df = 2k + 1``.  Each term ``e^-h
+    h^(s-1)/Gamma(s)`` is the one before times ``h/(s-1)``; the second value
+    is the term after the last, ``t``, and the chi-square density at ``x`` is
+    ``t df / (2 x)``.
+    """
+    h, k = 0.5 * x, df // 2
+    s = 0.5 * df - k + 1.0  # 1 for even df, 3/2 for odd
+    t = math.exp(-h) * (math.sqrt(h) / math.gamma(1.5) if df % 2 else 1.0)
+    terms = [math.erfc(math.sqrt(h))] if df % 2 else []
+    for _ in range(k):
+        terms.append(t)
+        t *= h / s
+        s += 1.0
+    return math.fsum(terms), t
+
+
 def _chi2_critical(df: int) -> float:
     """Upper 1 % point of the chi-square law with ``df`` degrees of freedom.
 
-    ``2 P^-1(df/2, 0.99)`` with ``P`` the regularized lower incomplete gamma
-    function: the formula, and the bits, of ``scipy.stats.chi2.ppf(0.99, df)``.
+    Newton's method on ``Q(df/2, x/2) = 0.01`` from the Wilson-Hilferty
+    approximation; within 1 ulp of the exact value for ``df`` up to
+    `_CHI2_MAX_DF`, above which it raises ``ValueError``.
     """
-    return float(2.0 * gammaincinv(df / 2, 0.99))
+    if not 1 <= df <= _CHI2_MAX_DF:
+        raise ValueError(
+            f"chi-square degrees of freedom must lie in 1..{_CHI2_MAX_DF}, got {df}")
+    c = 2.0 / (9.0 * df)
+    x = df * (1.0 - c + _Z99 * math.sqrt(c)) ** 3
+    for _ in range(_NEWTON_STEPS):
+        q, t = _chi2_upper(df, x)
+        # dQ/dx is minus the density, t df / (2 x)
+        step = (q - 0.01) * x / (0.5 * df * t)
+        x += step
+        if abs(step) <= 1e-12 * x:
+            break
+    return x
 
 
 def _chi2_gof(mv: MvMultiGauss, n: int, seed: int, bins: int = 20, reach: float = 4.0):

@@ -111,6 +111,17 @@ class TestExitCodes:
         assert code == 2
 
 
+class TestDispatch:
+    def test_main_calls_the_command_function_bound_at_call_time(self, capsys, monkeypatch):
+        from multigauss import cli
+
+        seen = []
+        monkeypatch.setattr(cli, "cmd_eval", lambda args: seen.append(args) or 7)
+        code, out, _ = run(capsys, ["eval", "cdf", "mg", "--m", "2.5"])
+        assert code == 7 and out == ""
+        assert [(a.command, a.kind, a.family, a.m) for a in seen] == [("eval", "cdf", "mg", 2.5)]
+
+
 class TestSample:
     def test_byte_identical_runs(self, capsys):
         argv = ["sample", "mg", "--m", "1", "--n", "5", "--seed", "42"]

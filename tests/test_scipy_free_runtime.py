@@ -1,32 +1,39 @@
-"""The runtime imports scipy only in `verify`, for `gammaincinv`.
+"""The runtime imports no scipy; the tests compare against it.
 
-The series, oracle, CDF, sampler and density layers (`series`, `oracle`,
-`univariate`, `multivariate`, `logmg`) import no scipy at all, so
-`import multigauss` and every library call run on numpy alone: a fresh
-interpreter in which any scipy import raises runs them.  The Hurwitz zeta
-of the series tail is the package's own (`tests/test_hurwitz_zeta.py`
-checks it).  The Gauss-Jacobi rule of the CDF table is
-built in the package by the Golub-Welsch algorithm and must integrate the
-moments of its weight and put its nodes where `scipy.special.roots_jacobi`
-does; the chi-square critical value of `verify` must keep the bits of the
-scipy routine it replaces.  Both scipy routines stay available to the
-tests.  The Mahalanobis form's forward substitution must agree with
+The series, oracle, CDF, sampler, density, verification and CLI layers
+(`series`, `oracle`, `univariate`, `multivariate`, `logmg`, `verify`, `cli`)
+import no scipy at all, so `import multigauss`, every library call and every
+CLI command run on numpy alone: a fresh interpreter in which any scipy
+import raises runs them.  The Hurwitz zeta of the series tail is the
+package's own (`tests/test_hurwitz_zeta.py` checks it).  The Gauss-Jacobi
+rule of the CDF table is built in the package by the Golub-Welsch algorithm
+and must integrate the moments of its weight and put its nodes where
+`scipy.special.roots_jacobi` does.  The chi-square critical value of
+`verify` must lie within 1 ulp of 40-digit mpmath references
+(`tests/chi2_reference.py` writes them) and keep the bits of
+`scipy.stats.chi2.ppf` at the degrees of freedom the mv suite reaches.  The
+Mahalanobis form's forward substitution must agree with
 `scipy.linalg.solve_triangular` to a few ulp.  A fresh interpreter shows
-which scipy modules an import, and the calls after it, pull in.
+which modules an import, and the calls or commands after it, pull in.
 """
 
 import ast
+import json
+import math
 import os
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import multigauss
-from multigauss import MvMultiGauss, logmg, multivariate, oracle, series, univariate
-from multigauss.verify import _chi2_critical
+from multigauss import (MvMultiGauss, cli, logmg, multivariate, oracle, series, univariate,
+                        verify)
+from multigauss.verify import _CHI2_MAX_DF, _chi2_critical
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 9])
@@ -79,7 +86,8 @@ def test_mahalanobis_form_of_non_finite_points_is_silent_and_local():
     np.testing.assert_allclose(q[keep], np.sum(z * z, axis=0)[keep], rtol=2e-15, atol=0.0)
 
 
-@pytest.mark.parametrize("module", [series, oracle, univariate, multivariate, logmg])
+@pytest.mark.parametrize("module", [series, oracle, univariate, multivariate, logmg, verify,
+                                    cli])
 def test_density_cdf_and_sampler_layers_import_no_scipy(module):
     with open(module.__file__, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
@@ -89,11 +97,30 @@ def test_density_cdf_and_sampler_layers_import_no_scipy(module):
     assert not [n for n in names if n.split(".")[0] == "scipy"]
 
 
-def test_chi2_critical_value_has_the_bits_of_scipy_stats():
+with open(os.path.join(os.path.dirname(__file__), "chi2_reference.json"),
+          encoding="utf-8") as _fh:
+    CHI2_REFERENCE = {int(df): Fraction(Decimal(v)) for df, v in json.load(_fh)["values"].items()}
+
+
+def test_chi2_critical_value_is_within_an_ulp_of_the_reference():
+    assert sorted(CHI2_REFERENCE) == list(range(1, _CHI2_MAX_DF + 1))
+    for df, want in CHI2_REFERENCE.items():
+        got = _chi2_critical(df)
+        assert abs(Fraction(got) - want) <= Fraction(math.ulp(float(want))), df
+
+
+def test_chi2_critical_value_keeps_the_bits_of_scipy_where_the_mv_suite_reaches():
     from scipy.stats import chi2
 
-    for df in range(1, 501):
-        assert _chi2_critical(df) == float(chi2.ppf(0.99, df)), df
+    # degrees of freedom of the mv suite's two goodness-of-fit checks, M = 1 and 10
+    for df, want in ((216, 267.2713588962135), (268, 324.78044620172966)):
+        assert _chi2_critical(df) == want == float(chi2.ppf(0.99, df))
+
+
+@pytest.mark.parametrize("df", [0, -3, _CHI2_MAX_DF + 1])
+def test_chi2_critical_value_outside_its_range_raises(df):
+    with pytest.raises(ValueError, match="degrees of freedom"):
+        _chi2_critical(df)
 
 
 def run_fresh(code):
@@ -132,6 +159,40 @@ print(sorted(k for k in sys.modules if k.split(".")[0] == "scipy"))
 
 def test_library_runs_with_scipy_blocked():
     assert run_fresh(WITHOUT_SCIPY).strip() == "['scipy']"
+
+
+def cli_commands(out_dir, figure: int, suite: str) -> str:
+    """Code that runs `cli.main` on a figure preset, a verify suite, every
+    ``eval`` kind of the mg family, an mv surface and both samplers, writing
+    under ``out_dir``; each command must exit 0."""
+    return f"""
+import os
+out = {str(out_dir)!r}
+commands = [["figure", "{figure}", "--out-dir", out], ["verify", "--suite", "{suite}"],
+            ["eval", "pdf", "mv", "--m", "0.5", "--points", "21"]]
+commands += [["eval", kind, "mg", "--m", "2.5"]
+             for kind in ("pdf", "cdf", "quantile", "moments", "mgf", "cf")]
+commands += [["sample", family, "--m", "0.5", "--n", "1000", "--seed", "1"]
+             for family in ("mg", "mv")]
+for argv in commands:
+    if argv[0] != "figure":
+        argv += ["--out", os.path.join(out, argv[0])]
+    assert cli.main(argv) == 0, argv
+"""
+
+
+def test_cli_runs_with_scipy_blocked(tmp_path):
+    code = ('import sys\nsys.modules["scipy"] = None\nfrom multigauss import cli\n'
+            + cli_commands(tmp_path, 5, "mv")
+            + 'print(sorted(k for k in sys.modules if k.split(".")[0] == "scipy"))')
+    assert run_fresh(code).strip() == "['scipy']"
+
+
+def test_no_command_imports_a_module_of_its_own(tmp_path):
+    """The CLI's import loads all a command needs; a forked command imports nothing."""
+    code = ("import sys\nfrom multigauss import cli\nbefore = set(sys.modules)\n"
+            + cli_commands(tmp_path, 1, "all") + "print(sorted(set(sys.modules) - before))")
+    assert run_fresh(code).strip() == "[]"
 
 
 #: Calls after the import: a cdf, a quantile, an mg and an mv sample, an mv pdf.
