@@ -216,16 +216,21 @@ def integrate_2d_graded(f, center, half_width, panels_per_side: int = 40,
 
     Panel edges are graded toward the centre (``(k/K)^grading``) so densities
     with a cusp at the centre are still integrated to ~1e-9.  ``f`` must
-    accept two equal-shape arrays and return the integrand values.
+    accept two equal-shape arrays and return the integrand values; it is
+    called once per panel row of x nodes (``order`` rows of the whole y
+    axis), so the memory a call needs does not grow with the square of the
+    grid.
     """
     cx, cy = float(center[0]), float(center[1])
     hx, hy = float(half_width[0]), float(half_width[1])
     ts = (np.arange(panels_per_side + 1) / panels_per_side) ** grading
     nx, wx = _panel_nodes(np.concatenate((cx - hx * ts[::-1], cx + hx * ts[1:])), order)
     ny, wy = _panel_nodes(np.concatenate((cy - hy * ts[::-1], cy + hy * ts[1:])), order)
-    gx, gy = np.meshgrid(nx, ny, indexing="ij")
-    vals = f(gx, gy)
-    return float(wx @ vals @ wy)
+    inner = np.zeros_like(ny)
+    for rows in range(0, len(nx), order):
+        gx, gy = np.meshgrid(nx[rows:rows + order], ny, indexing="ij")
+        inner += wx[rows:rows + order] @ f(gx, gy)
+    return float(inner @ wy)
 
 
 def ks_statistic(samples, cdf) -> float:

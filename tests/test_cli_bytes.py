@@ -1,31 +1,36 @@
 """The CLI's exact output bytes, rebuilt from library calls.
 
-Each expected text is built here without the CLI: a CSV header line, then
-one line per row with every float cell written as ``f"{v:.17g}"``; JSON is
-``json.dumps`` of the list of row objects.  A change in how the CLI formats,
-orders or computes its output shows up as a byte difference.
+Each expected text is built here without the CLI: ``csv.writer`` writing a
+header line, then one line per row with every float cell written as
+``f"{v:.17g}"``; JSON is ``json.dumps`` of the list of row objects.  A change
+in how the CLI formats, orders or computes its output shows up as a byte
+difference.
 """
 
+import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
-from multigauss import LogMultiGauss, MultiGauss, MvMultiGauss, verify
+from multigauss import LogMultiGauss, MultiGauss, MvMultiGauss, cli, verify
 from multigauss.cli import main
 from multigauss.multivariate import BivariateParams
 
 
 def cell(v):
-    return f"{v:.17g}" if isinstance(v, float) else str(v)
+    return f"{v:.17g}" if isinstance(v, float) else v
 
 
 def expected(columns, rows, fmt):
-    rows = [tuple(float(v) if isinstance(v, np.floating) else v for v in r) for r in rows]
+    rows = [tuple(v.item() if isinstance(v, np.generic) else v for v in r) for r in rows]
     if fmt == "json":
         return json.dumps([dict(zip(columns, r)) for r in rows])
-    return "".join(",".join(map(cell, r)) + "\n" for r in [tuple(columns)] + rows)
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([columns] + [map(cell, r) for r in rows])
+    return text.getvalue()
 
 
 def cli_text(capsys, argv):
@@ -155,3 +160,45 @@ def test_verify_series_json(capsys):
     rows = [r.to_dict() for r in verify.run_suite("series")]
     got = cli_text(capsys, ["verify", "--suite", "series", "--format", "json"])
     assert got == json.dumps(rows)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_verify_univariate(capsys, fmt):
+    """Quoted names (they hold commas) in CSV; ``Infinity`` and ``true`` in JSON."""
+    rows = [r.to_dict() for r in verify.run_suite("univariate")]
+    columns = tuple(rows[0])
+    assert any("," in r["target_name"] for r in rows)
+    assert any(r["rel_err"] == math.inf for r in rows)
+    got = cli_text(capsys, ["verify", "--suite", "univariate", "--format", fmt])
+    assert got == expected(columns, [tuple(r.values()) for r in rows], fmt)
+
+
+SPECIAL_COLUMNS = ("x", "value", "flag", "series")
+SPECIAL_ROWS = [
+    (math.nan, -0.0, True, 'say "a, b"'),
+    (math.inf, 0.0, False, "M=2.5"),
+    (-math.inf, 5e-324, True, 'say "a, b"'),
+    (-0.0, 1.7976931348623157e308, False, ""),
+    (0.1, -1e-300, True, "M=2.5"),
+]
+
+
+def emitted(capsys, rows, fmt):
+    cli._emit(cli._table(**{c: [r[k] for r in rows] for k, c in enumerate(SPECIAL_COLUMNS)}),
+              fmt, out_path=None)
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("block", [2, 65_536])
+def test_special_cells(capsys, monkeypatch, fmt, block):
+    """NaN, +-inf, -0.0, a label with a quote and a comma, an empty label and a bool column."""
+    monkeypatch.setattr(cli, "_EMIT_BLOCK", block)
+    assert emitted(capsys, SPECIAL_ROWS, fmt) == expected(SPECIAL_COLUMNS, SPECIAL_ROWS, fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("n", [0, 1])
+def test_zero_and_one_row_tables(capsys, fmt, n):
+    rows = SPECIAL_ROWS[:n]
+    assert emitted(capsys, rows, fmt) == expected(SPECIAL_COLUMNS, rows, fmt)

@@ -132,6 +132,31 @@ class TestIntegrate2D:
         val = integrate_2d_graded(f, (0.0, 0.0), (9.0, 9.0), panels_per_side=24)
         assert val == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("m", [10.0, 0.025])
+    def test_one_panel_row_per_call_matches_the_full_grid(self, m):
+        """``f`` sees one panel row of nodes at a time; the sum is the full grid's within 4 ulp."""
+        from multigauss import MvMultiGauss
+        from multigauss.oracle import _panel_nodes
+
+        mv = MvMultiGauss([0.3, -0.2], [[1.0, 0.6], [0.6, 2.0]], m)
+        sizes = []
+
+        def f(gx, gy):
+            sizes.append(gx.size)
+            return mv.pdf(np.stack([gx.ravel(), gy.ravel()], axis=1)).reshape(gx.shape)
+
+        center, half, panels, order = (0.3, -0.2), (10.0, 10.0 * math.sqrt(2.0)), 40, 8
+        val = integrate_2d_graded(f, center, half, panels_per_side=panels, order=order)
+        assert max(sizes) <= order * 2 * panels * order
+        assert sum(sizes) == (2 * panels * order) ** 2
+
+        ts = (np.arange(panels + 1) / panels) ** 3.0
+        (nx, wx), (ny, wy) = (_panel_nodes(np.concatenate((c - h * ts[::-1], c + h * ts[1:])), order)
+                              for c, h in zip(center, half))
+        gx, gy = np.meshgrid(nx, ny, indexing="ij")
+        full = float(wx @ f(gx, gy) @ wy)
+        assert abs(val - full) <= 4 * math.ulp(full)
+
 
 class TestKsStatistic:
     def test_degenerate_sample_at_median(self):
