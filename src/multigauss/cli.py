@@ -19,7 +19,8 @@ template: a float column is formatted in one C-level pass, any other
 column (labels, names, notes, flags) once per distinct value.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3
-non-converged series.
+non-converged series or a non-finite output (for ``sample lmg``, also a
+draw that is not positive).
 """
 
 from __future__ import annotations
@@ -232,14 +233,22 @@ def cmd_eval(args) -> int:
         raise ValueError("family 'mv' supports only kind 'pdf'")
     d = _build(args.family, args)
     table = _EVALS[args.family](args, d, _LABELS[args.family].format(**vars(args)))
-    names = table.dtype.names
-    finite = np.isfinite(np.column_stack(
-        [table[n] for n in names if table.dtype[n].kind == "f"])).all(axis=1)
-    if not finite.all():
-        row = table[np.argmin(finite)].tolist()
-        raise SeriesNotConverged(f"non-finite output at {dict(zip(names, row))}")
+    _check_outputs(table, np.isfinite)
     _emit(table, args.format, out_path=args.out)
     return EXIT_OK
+
+
+def _check_outputs(table: np.recarray, ok, what: str = "non-finite") -> None:
+    """Raise `SeriesNotConverged` (exit 3) at the first row with a float cell
+    that ``ok`` rejects, naming the row's cells."""
+    names = table.dtype.names
+    good = np.ones(table.size, dtype=bool)
+    for n in names:
+        if table.dtype[n].kind == "f":
+            good &= ok(table[n])
+    if not good.all():
+        row = table[np.argmin(good)].tolist()
+        raise SeriesNotConverged(f"{what} output at {dict(zip(names, row))}")
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +265,11 @@ def cmd_sample(args) -> int:
     values = {"x1": draws[:, 0], "x2": draws[:, 1]} if args.family == "mv" else {"value": draws}
     table = _table(x=np.arange(1.0, args.n + 1), **values,
                    series=_LABELS[args.family].format(**vars(args)))
+    if args.family == "lmg":
+        # an exp that overflows is inf and one that underflows 0
+        _check_outputs(table, lambda v: np.isfinite(v) & (v > 0.0), "non-finite or non-positive")
+    else:
+        _check_outputs(table, np.isfinite)
     _emit(table, args.format, out_path=args.out)
     return EXIT_OK
 

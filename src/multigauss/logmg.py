@@ -81,6 +81,11 @@ class LogMultiGauss:
         )
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``n`` strictly positive variates (exp of base samples)."""
+        """Draw ``n`` variates, the exp of base samples.
+
+        A draw whose exp overflows is ``inf`` and one whose exp underflows is
+        ``0``, with no warning; every other draw is finite and positive.
+        """
         x = self._base.sample(n, rng)
-        return np.exp(x, out=x)
+        with np.errstate(over="ignore"):
+            return np.exp(x, out=x)

@@ -339,6 +339,20 @@ class _CdfTable:
         tail[upper] = self.above(r[upper])
         return tail, upper
 
+    def held_tails(self, band_radii: np.ndarray):
+        """`smaller_tail` at ``band_radii`` in the mode band, then at the
+        panel edges inside the reach, returned with those radii.
+
+        The band's masses are closed forms (`_band_integral`) and the edges'
+        are the ones the table accumulated, so no panel is integrated.
+        """
+        scale = 2.0 * self._scale
+        r = np.concatenate((band_radii, _CDF_EDGES[1:-1]))
+        below = np.concatenate((self._band_integral(band_radii), self._head[1:-1])) * scale
+        above = np.concatenate((1.0 - below[:band_radii.size], self._tail[1:-1] * scale))
+        upper = below > 0.5
+        return r, np.where(upper, above, below), upper
+
     def expectation_rule(self, parts: int = 1, tail: float = 0.0):
         """Nodes ``s_i`` and weights ``H_i`` of the table's own quadrature (``dim = 1``).
 
@@ -415,11 +429,12 @@ _RADIUS_BLOCK = 8192
 #: uniforms, multiples of 2^-53, have scores below 8.6.
 _SCORE_REACH = float(_log_tail_score(np.array([0.5 * math.erfc(8.5 * math.sqrt(0.5))]))[0])
 
-#: Coarse radii at which the radial score is computed once per inverse to
-#: place its nodes: geometric up to the mode band (the lower tail is a power
-#: law in r), then steps of 0.25 out to the table's reach.
-_RADIUS_CANDIDATES = np.concatenate((np.geomspace(1e-30, _CDF_BAND, 100, endpoint=False),
-                                     np.arange(_CDF_BAND, _CDF_REACH, 0.25)))
+#: Radii of the mode band at which the inverse's first radii are placed,
+#: besides the panel edges: geometric, as the lower tail is a power law in r.
+_BAND_RADII = np.geomspace(1e-30, _CDF_BAND, 100, endpoint=False)
+
+#: Gauss-Legendre rule that carries a tail over the first Newton step.
+_STEP_NODES, _STEP_WEIGHTS = np.polynomial.legendre.leggauss(4)
 
 
 def _radial_score(table: _CdfTable, r: np.ndarray) -> np.ndarray:
@@ -445,13 +460,34 @@ def _score_step(table: _CdfTable, log_r: np.ndarray, score: np.ndarray):
     overflows far out.
     """
     r = np.exp(log_r)
-    tail, upper = table.smaller_tail(r)
+    s, slope = _score_slope(table, r, *table.smaller_tail(r))
+    return (s - score) * slope, slope
+
+
+def _score_slope(table: _CdfTable, r: np.ndarray, tail: np.ndarray, upper: np.ndarray):
+    """Radial score at ``r`` and its ``d log r / d score`` (see `_score_step`),
+    from the tail ``tail`` at ``r``, an upper tail where ``upper``.
+
+    Either tail may be passed, even past the median: the score is odd about
+    ``p = 1/2`` and its slope is symmetric in ``p`` and ``1 - p``.
+    """
     a, b = _tail_roots(tail)
     s = np.subtract(a, b)
     np.negative(s, out=s, where=~upper)
     pa = tail * a
-    slope = pa / (r * table.density(r) * (1.0 + pa / ((1.0 - tail) * b)))
-    return (s - score) * slope, slope
+    return s, pa / (r * table.density(r) * (1.0 + pa / ((1.0 - tail) * b)))
+
+
+def _hermite_pieces(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Cubic Hermite pieces of the nodes ``(x, y)`` with slopes ``d``.
+
+    Row ``j`` of the result is ``c_j`` of each piece's
+    ``((c0 t + c1) t + c2) t + c3`` in ``t = x - x_k`` over ``[x_k, x_k+1]``.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
 
 
 class _RadialInverse:
@@ -462,32 +498,48 @@ class _RadialInverse:
     their relative precision and no draw needs the Gaussian quantile.  The
     inverse is the cubic Hermite interpolant of ``r`` on a uniform grid of
     `_INVERSE_NODES` scores over ``|score| <= 8.854`` (`_SCORE_REACH`, the
-    radii of the Gaussian scores ``|z| <= 8.5``).  The scores at
-    `_RADIUS_CANDIDATES` give each grid score a first radius, and three
-    Newton steps (`_score_step`) move it onto the score.  The slope of the
-    last step, taken where ``r`` is already within ~1e-8, gives each node
-    its exact derivative ``dr / d score``, so the cubic's error falls as the
-    fourth power of the spacing: within ~1.3e-8 of the radius.  Immutable.
+    radii of the Gaussian scores ``|z| <= 8.5``).  The first radius of each
+    grid score comes from masses the table already holds
+    (`_CdfTable.held_tails`, at `_BAND_RADII` and the panel edges): a cubic
+    Hermite interpolant of ``log r`` in the score, with the slopes of the
+    density, within ~1e-3 in ``log r``.  One pass of the table there gives
+    the first Newton step in ``log r`` (that of `_score_step`); the tail is
+    carried over that short step by a 4-point Gauss-Legendre rule of the
+    density, and gives the second step, of at most ~2e-7, and the slope at
+    its start each node's derivative ``dr / d score``.  So the cubic's
+    error falls as the fourth power of the spacing: within ~1.3e-8 of the
+    radius.  Immutable.
     """
 
     def __init__(self, table: _CdfTable):
-        sc = _radial_score(table, _RADIUS_CANDIDATES)
-        keep = np.isfinite(sc)
-        sc, log_rc = sc[keep], np.log(_RADIUS_CANDIDATES[keep])
+        held, tail, upper = table.held_tails(_BAND_RADII)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a mass of 0 has no score
+            sc, slope = _score_slope(table, held, tail, upper)
+        keep = np.isfinite(sc) & np.isfinite(slope)
+        sc = sc[keep]
         grid = np.linspace(max(sc[0], -_SCORE_REACH), min(sc[-1], _SCORE_REACH),
                            _INVERSE_NODES)
-        log_r = np.interp(grid, sc, log_rc)
-        for _ in range(3):
-            step, slope = _score_step(table, log_r, grid)
-            log_r -= step
+        start = _hermite_pieces(sc, np.log(held[keep]), slope[keep])
+        k = np.clip(sc.searchsorted(grid, side="right") - 1, 0, sc.size - 2)
+        t = grid - sc[k]
+        log_r = ((start[0, k] * t + start[1, k]) * t + start[2, k]) * t + start[3, k]
+        # one pass of the table and one Newton step
         r = np.exp(log_r)
-        # Hermite pieces ((c0 t + c1) t + c2) t + c3 with node slopes dr/dscore
-        d = r * slope
-        h = np.diff(grid)
-        m = np.diff(r) / h
-        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        tail, upper = table.smaller_tail(r)
+        score, slope = _score_slope(table, r, tail, upper)
+        log_r -= (score - grid) * slope
+        # the last step from the tail carried over the first one
+        step_r = np.exp(log_r)
+        half = 0.5 * (step_r - r)
+        nodes = (r + half)[:, None] + half[:, None] * _STEP_NODES
+        mass = half * (table.density(nodes) @ _STEP_WEIGHTS)
+        tail += np.where(upper, -mass, mass)
+        score, slope = _score_slope(table, step_r, tail, upper)
+        log_r -= (score - grid) * slope
+        r = np.exp(log_r)
         self.grid = grid
-        self._coeffs = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], r[:-1]))
+        # node slopes dr/dscore
+        self._coeffs = _hermite_pieces(grid, r, r * slope)
 
     def radius(self, values: np.ndarray, tail: bool = False, out: np.ndarray | None = None):
         """Radius at each of the 1-D array's scores, clipped to the grid.
@@ -498,9 +550,12 @@ class _RadialInverse:
         input itself.  The grid is uniform, so the cubic piece holding each
         score is found by arithmetic rather than by binary search.  The
         values are taken in blocks of `_RADIUS_BLOCK`, so the temporaries
-        stay small and cached.
+        stay small and cached.  The pieces are gathered by ``take`` in its
+        ``clip`` mode, which checks no bound and maps the grid's last score
+        to the last piece.
         """
         grid, coeffs = self.grid, self._coeffs
+        knots = grid[:-1]
         lo, hi = grid[0], grid[-1]
         per_piece = (grid.size - 1) / (hi - lo)
         if out is None:
@@ -511,13 +566,12 @@ class _RadialInverse:
             row = np.subtract(t, lo)
             row *= per_piece
             k = row.astype(np.intp)
-            np.minimum(k, grid.size - 2, out=k)
             # the Horner sum ((c0 t + c1) t + c2) t + c3 in place, on rows gathered by take
-            t -= grid.take(k, out=row)
-            res = coeffs[0].take(k, out=out[start:start + _RADIUS_BLOCK])
+            t -= knots.take(k, out=row, mode="clip")
+            res = coeffs[0].take(k, out=out[start:start + _RADIUS_BLOCK], mode="clip")
             for c in coeffs[1:]:
                 res *= t
-                res += c.take(k, out=row)
+                res += c.take(k, out=row, mode="clip")
         return out
 
 
@@ -885,9 +939,11 @@ class MultiGauss:
         statistical tolerance): the
         one-dimensional case of the multivariate sampler.  At ``M = 1`` the
         output is exactly ``mu + sigma Z``.  Identical generator state yields
-        identical output.
+        identical output.  A draw beyond the float range is ``-inf`` or
+        ``inf``, with no warning.
         """
         x = _radial_draw(n, rng, 1, None if _gaussian(self._shape) else self._inverse)[:, 0]
-        x *= self._sigma
-        x += self._mu
+        with np.errstate(over="ignore"):
+            x *= self._sigma
+            x += self._mu
         return x

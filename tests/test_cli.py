@@ -312,6 +312,24 @@ class TestDensityOverflow:
         assert payload["error"]["type"] == "series_not_converged"
         assert "non-finite output" in payload["error"]["message"]
 
+    @pytest.mark.parametrize("argv,bad", [
+        (["sample", "lmg", "--m", "2", "--sigma", "1e3", "--n", "3", "--seed", "1"],
+         "non-finite or non-positive"),
+        (["sample", "mg", "--m", "2", "--sigma", "1e308", "--n", "3", "--seed", "1"],
+         "non-finite"),
+    ])
+    def test_draw_beyond_the_float_range_exits_3_without_a_warning(self, capsys, argv, bad):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, argv)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"]["type"] == "series_not_converged"
+        assert payload["error"]["message"].startswith(bad + " output at {'x': ")
+
     def test_library_density_below_the_float_range_is_silent(self):
         import warnings
 

@@ -191,3 +191,16 @@ class TestSampling:
         a = d.sample(64, np.random.default_rng(11))
         b = d.sample(64, np.random.default_rng(11))
         np.testing.assert_array_equal(a, b)
+
+    def test_exp_beyond_the_float_range_is_silent(self):
+        import warnings
+
+        d = LogMultiGauss(0.0, 1e3, 2)
+        x = d.base.sample(3, np.random.default_rng(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ys = d.sample(3, np.random.default_rng(1))
+        # an exp that overflows is inf and one that underflows is 0
+        assert x.max() > 710.0 and x.min() < -746.0
+        np.testing.assert_array_equal(ys[x > 710.0], np.inf)
+        np.testing.assert_array_equal(ys[x < -746.0], 0.0)

@@ -18,7 +18,7 @@ from multigauss import MultiGauss, MvMultiGauss, SeriesNotConverged
 from multigauss.series import ShapeParam
 from multigauss.univariate import (
     _CDF_BAND, _CDF_EDGES, _CDF_REACH, _GL_NODES, _GL_WEIGHTS, _INVERSE_NODES,
-    _RADIUS_CANDIDATES, _SCORE_REACH, _CdfTable, _log_tail_score, _RadialInverse,
+    _SCORE_REACH, _CdfTable, _log_tail_score, _RadialInverse,
     _radial_score, _score_step, mg_profile,
 )
 
@@ -187,10 +187,17 @@ def test_one_tail_radial_score_keeps_its_bits(mval, dim):
     np.testing.assert_array_equal(_radial_score(table, r), _both_tails_score(table, r))
 
 
+#: Coarse radii that placed the inverse's first radii before it took them
+#: from the table's own masses: geometric up to the mode band, then steps of
+#: 0.25 out to the reach.
+_RADIUS_CANDIDATES = np.concatenate((np.geomspace(1e-30, _CDF_BAND, 100, endpoint=False),
+                                     np.arange(_CDF_BAND, _CDF_REACH, 0.25)))
+
+
 def _inverse_from_every_candidate(table):
-    """The radial inverse's nodes and coefficients from the both-tails score
-    at every candidate radius, three Newton steps, and the cubic Hermite
-    pieces ((c0 t + c1) t + c2) t + c3 with the last step's slopes."""
+    """The radial inverse's grid, nodes and node slopes ``dr / d score``
+    from the both-tails score at every candidate radius and three Newton
+    steps, the slopes of the last one."""
     sc = _both_tails_score(table, _RADIUS_CANDIDATES)
     keep = np.isfinite(sc)
     sc, log_rc = sc[keep], np.log(_RADIUS_CANDIDATES[keep])
@@ -200,21 +207,37 @@ def _inverse_from_every_candidate(table):
         step, slope = _score_step(table, log_r, grid)
         log_r -= step
     r = np.exp(log_r)
-    d, h = r * slope, np.diff(grid)
-    m = np.diff(r) / h
-    t = (d[:-1] + d[1:] - 2.0 * m) / h
-    return grid, np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], r[:-1]))
+    return grid, r, r * slope
 
 
 @pytest.mark.parametrize("dim", (1, 2, 3, 5, 20, 60))
 @pytest.mark.parametrize("mval", (1e-3, 0.025, 0.5, 2.5, 12.3, 40, 54))
 def test_coarse_pass_keeps_the_inverse_bits(mval, dim):
-    # the coarse pass takes the one-tail score at every candidate radius
+    # the coarse start from the table's held masses keeps the grid's bits,
+    # and one table pass and a step carried by quadrature give the nodes of
+    # three full Newton steps from every candidate radius
     table = _CdfTable(ShapeParam.of(mval), dim)
     inverse = _RadialInverse(table)
-    grid, coeffs = _inverse_from_every_candidate(table)
+    grid, r, d = _inverse_from_every_candidate(table)
     np.testing.assert_array_equal(inverse.grid, grid)
-    np.testing.assert_array_equal(inverse._coeffs, coeffs)
+    np.testing.assert_allclose(inverse._coeffs[3], r[:-1], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(inverse.radius(grid[-1:]), r[-1:], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(inverse._coeffs[2], d[:-1], rtol=1e-6, atol=0.0)
+
+
+@pytest.mark.parametrize("mval,dim", [(0.025, 1), (2.5, 3), (54, 60)])
+def test_inverse_integrates_the_table_once(mval, dim, monkeypatch):
+    table = _CdfTable(ShapeParam.of(mval), dim)
+    calls = []
+    smaller_tail = _CdfTable.smaller_tail
+
+    def counted(self, r):
+        calls.append(r.size)
+        return smaller_tail(self, r)
+
+    monkeypatch.setattr(_CdfTable, "smaller_tail", counted)
+    _RadialInverse(table)
+    assert calls == [_INVERSE_NODES]
 
 
 @pytest.mark.parametrize("mval,dim", [(0.025, 2), (2.5, 3), (40, 5), (0.5, 1), (40, 1)])
