@@ -14,9 +14,12 @@ Every command builds one table, a NumPy record array with one field per
 output column, and writes it as CSV (header ``x,value,series``; 17
 significant digits; two-abscissa data uses ``x1,x2``) or JSON (array of row
 objects), with the bytes of ``csv.writer`` (float cells ``.17g``) or of
-``json.dumps``.  Each block of `_EMIT_BLOCK` rows is one ``%`` of a row
-template: a float column is formatted in one C-level pass, any other
-column (labels, names, notes, flags) once per distinct value.
+``json.dumps``.  Each block of `_EMIT_BLOCK` (8,192) rows is one ``%`` of a
+row template.  A float column whose block holds at most half as many
+distinct bit patterns as rows (the abscissas of a surface) is formatted
+once per distinct value, the text mapped onto the rows; any other float
+column in one C-level pass; any other column (labels, names, notes, flags)
+once per distinct value.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3
 non-converged series or a non-finite output (for ``sample lmg``, also a
@@ -73,11 +76,40 @@ def _table(**columns) -> np.recarray:
 
 
 #: Rows formatted and written at a time: the text of a large table (a
-#: sample of millions of draws) is never held whole.
-_EMIT_BLOCK = 65_536
+#: sample of millions of draws) is never held whole, and the temporaries of
+#: one block (cells, repeated template, text) stay near a megabyte.
+_EMIT_BLOCK = 8_192
 
 #: ``writerow`` returns what its file's ``write`` returns: here the CSV line.
 _csv_line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+
+
+def _float_text(values: list, fmt: str) -> list:
+    """The cell text of each float: ``%.17g`` (CSV) or ``json.dumps``'s (JSON)."""
+    if fmt == "csv":
+        return list(map("%.17g".__mod__, values))
+    return json.dumps(values)[1:-1].split(", ")
+
+
+def _float_cells(col: np.ndarray, fmt: str) -> tuple:
+    """The cells of one block's float column and the template field that writes them.
+
+    Values are told apart by their bits (so ``-0.0`` is not ``0.0``, and NaN
+    and +-inf stay as written).  If at most half the rows hold distinct bits,
+    each distinct value is formatted once and its text mapped onto the rows;
+    otherwise CSV leaves the values to the template's ``%.17g`` and JSON
+    formats the column in one ``json.dumps``.
+    """
+    bits = col.view(np.int64)
+    ordered = np.sort(bits)
+    new = ordered[1:] != ordered[:-1]
+    if 2 * (np.count_nonzero(new) + 1) <= len(bits):
+        distinct = ordered[np.concatenate(([True], new))]
+        text = np.array(_float_text(distinct.view(np.float64).tolist(), fmt), dtype=object)
+        return text.take(np.searchsorted(distinct, bits)).tolist(), "%s"
+    if fmt == "csv":
+        return col.tolist(), "%.17g"
+    return _float_text(col.tolist(), fmt), "%s"
 
 
 def _emit(table: np.recarray, fmt: str, *, out_path: str | None) -> None:
@@ -92,7 +124,6 @@ def _emit(table: np.recarray, fmt: str, *, out_path: str | None) -> None:
         row = "{" + ", ".join(f"{json.dumps(n)}: %s" for n in names) + "}"
         head, sep, tail, encode = "[", ", ", "]", json.dumps
     else:
-        row = ",".join("%.17g" if table.dtype[n].kind == "f" else "%s" for n in names) + "\n"
         head, sep, tail = _csv_line(names), "", ""
 
         def encode(v):  # beside an empty cell: a row of one empty cell is quoted
@@ -104,13 +135,17 @@ def _emit(table: np.recarray, fmt: str, *, out_path: str | None) -> None:
         for i in range(0, rows, _EMIT_BLOCK):
             block = table[i:i + _EMIT_BLOCK]
             flat = [None] * (len(block) * cols)
+            fields = []
             for j, n in enumerate(names):
-                values = block[n].tolist()
                 if table.dtype[n].kind == "f":
-                    flat[j::cols] = values if fmt == "csv" else json.dumps(values)[1:-1].split(", ")
+                    flat[j::cols], field = _float_cells(block[n], fmt)
                 else:
+                    values = block[n].tolist()
                     text = {v: encode(v) for v in set(values)}
-                    flat[j::cols] = map(text.__getitem__, values)
+                    flat[j::cols], field = map(text.__getitem__, values), "%s"
+                fields.append(field)
+            if fmt == "csv":
+                row = ",".join(fields) + "\n"
             # each block's text is a temporary of one statement, gone before the next is made
             fh.write(((sep if i else "") + sep.join([row] * len(block))) % tuple(flat))
         fh.write(tail)

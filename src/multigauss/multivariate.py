@@ -28,6 +28,7 @@ family, so no marginal objects exist either.
 from __future__ import annotations
 
 import math
+import sys
 from functools import cached_property
 
 import numpy as np
@@ -64,6 +65,12 @@ class BivariateParams:
             object.__setattr__(self, name, v)
         if self.sigma1 <= 0.0 or self.sigma2 <= 0.0:
             raise ValueError("sigma1 and sigma2 must be positive")
+        for name in ("sigma1", "sigma2"):
+            s = getattr(self, name)
+            # a float product neither raises nor warns; a subnormal one keeps few digits
+            if not sys.float_info.min <= s * s < math.inf:
+                raise ValueError(f"{name} = {s!r} is out of range: its square, a variance, "
+                                 "must be a finite normal float, not 0, subnormal or inf")
         if not abs(self.rho) < 1.0:
             raise ValueError(f"|rho| must be strictly below 1, got {self.rho!r}")
 
@@ -104,7 +111,7 @@ class MvMultiGauss:
         scale = float(np.abs(cov).max())
         if scale <= 0.0 or float(np.abs(cov - cov.T).max()) > 1e-12 * scale:
             raise ValueError("cov must be symmetric to 1e-12 relative tolerance")
-        cov = 0.5 * (cov + cov.T)
+        cov = 0.5 * cov + 0.5 * cov.T  # (cov + cov.T) / 2 overflows past half the largest float
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:

@@ -217,6 +217,32 @@ class TestNegativeExponentValues:
                                                       rel=1e-15)
 
 
+class TestBivariateScales:
+    """A scale whose square (a variance) overflows, underflows to zero or is
+    subnormal exits 2 with a message naming the flag, before any work."""
+
+    @pytest.mark.parametrize("command", [["sample", "mv", "--n", "3", "--seed", "1"],
+                                         ["eval", "pdf", "mv", "--points", "3"]])
+    @pytest.mark.parametrize("flag,value", [("--sigma1", "1e200"), ("--sigma2", "1e200"),
+                                            ("--sigma1", "1e-200"), ("--sigma2", "1e-160")])
+    def test_unsquarable_scale_exits_2(self, capsys, command, flag, value):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, [*command, "--m", "2", flag, value])
+        assert code == 2 and out == ""
+        payload = json.loads(err.splitlines()[0])
+        assert payload["error"]["type"] == "invalid_input"
+        assert payload["error"]["message"].startswith(f"{flag[2:]} = {float(value)!r} ")
+
+    def test_largest_and_smallest_squarable_scales_run(self, capsys):
+        for flag, value in (("--sigma1", "1e154"), ("--sigma2", "1.5e-154")):
+            code, _, err = run(capsys, ["eval", "pdf", "mv", "--m", "2", "--points", "3",
+                                        "--from=-1", "--to", "1", flag, value])
+            assert code == 0, err
+
+
 class TestNormalizationExitCodes:
     def test_underflowing_reflection_constant(self, capsys):
         # math.gamma(1 - M) underflows at M = 200.3
@@ -374,29 +400,55 @@ class TestBlockedEmit:
         Formatting the whole table at once held ~300 (CSV) to ~500 (JSON)
         bytes a row: 30-60 MB more for the seven extra blocks of 16,384.
         """
-        import os
-        import subprocess
-        import sys
-
-        pytest.importorskip("resource")
-        import multigauss
-
-        src = os.path.dirname(os.path.dirname(os.path.abspath(multigauss.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = f"""
-import resource
+        peaks = fresh_peaks_kb(f"""
 import numpy as np
 from multigauss import cli
 rows = cli._EMIT_BLOCK = 16_384
 table = cli._table(x=np.arange(1.0, 8 * rows + 1), value=np.random.default_rng(1).random(8 * rows),
                    series="M=2.5")
-peak = []
 for part in (table[:rows], table):
     cli._emit(part, {fmt!r}, out_path={str(tmp_path / "out")!r})
-    peak.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-print(peak[1] - peak[0])
-"""
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True).stdout
-        assert int(out) < 8 * 1024  # kB: ru_maxrss of Linux
+    mark()
+""")
+        assert peaks[1] - peaks[0] < 8 * 1024
+
+    def test_surface_figure_peaks_little_above_the_import(self, tmp_path):
+        """``figure 5 --format json`` (4 files of 40,401 rows) peaks at most 14 MB
+        above the imported CLI; blocks of 65,536 rows, each column's text made
+        whole, peaked ~28 MB above it."""
+        peaks = fresh_peaks_kb(f"""
+from multigauss import cli
+mark()
+assert cli.main(["figure", "5", "--format", "json", "--out-dir", {str(tmp_path)!r}]) == 0
+mark()
+""")
+        assert peaks[1] - peaks[0] <= 14 * 1024
+
+
+def fresh_peaks_kb(code: str) -> list:
+    """Run ``code`` in a fresh interpreter; each ``mark()`` in it reports the
+    peak resident memory so far, in kB.
+
+    The peak is ``VmHWM``, which starts anew at ``exec``.  ``ru_maxrss`` would
+    not do: Linux carries it over from the parent, so a child of a large
+    pytest process would start at that process's peak.
+    """
+    import os
+    import subprocess
+    import sys
+
+    import multigauss
+
+    status = "/proc/self/status"
+    if not os.path.exists(status):
+        pytest.skip(f"no {status} to read the peak from")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(multigauss.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    mark = ("import re\n"
+            "def mark():\n"
+            f"    with open({status!r}) as f:\n"
+            "        print(re.search(r'VmHWM:\\s*(\\d+) kB', f.read()).group(1))\n")
+    out = subprocess.run([sys.executable, "-c", mark + code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    return [int(v) for v in out.split()]

@@ -123,10 +123,10 @@ def test_sample_mv(capsys, fmt):
 
 @pytest.fixture(scope="module", params=FORMATS)
 def figures(request, tmp_path_factory):
-    """Figures 2, 3 and 5 written once per format."""
+    """Figures 2, 3, 5 and 8 written once per format."""
     fmt = request.param
     out = tmp_path_factory.mktemp(f"figures_{fmt}")
-    for fig in ("2", "3", "5"):
+    for fig in ("2", "3", "5", "8"):
         assert main(["figure", fig, "--out-dir", str(out), "--format", fmt]) == 0
     return fmt, out
 
@@ -154,6 +154,29 @@ def test_figure_surface(figures):
     ax = np.linspace(-4.0, 4.0, 201)
     want = expected(("x1", "x2", "value", "series"), surface(mv, ax, ax, "M=40 rho=0.7"), fmt)
     assert (out / f"fig5_d_M40_rho0p7.{fmt}").read_text() == want
+
+
+def test_figure_cusped_surface(figures):
+    """Figure 8's M = 0.025 surface, whose cusp and tails repeat values bit for bit."""
+    fmt, out = figures
+    mv = MvMultiGauss([0.0, 0.0], np.eye(2), 0.025)
+    ax = np.linspace(-4.0, 4.0, 201)
+    want = expected(("x1", "x2", "value", "series"), surface(mv, ax, ax, "M=0.025 rho=0"), fmt)
+    assert (out / f"fig8_c_M0p025_rho0.{fmt}").read_text() == want
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_eval_pdf_mv(capsys, fmt):
+    """A 41 x 41 surface: 41 distinct values in each abscissa column."""
+    p = BivariateParams(0.5, -1.0, 1.5, 0.5, 0.3)
+    mv = MvMultiGauss(p.mean(), p.covariance(), 0.025)
+    x1 = np.linspace(0.5 - 4 * 1.5, 0.5 + 4 * 1.5, 41)
+    x2 = np.linspace(-1.0 - 4 * 0.5, -1.0 + 4 * 0.5, 41)
+    want = expected(("x1", "x2", "value", "series"), surface(mv, x1, x2, "M=0.025 rho=0.3"), fmt)
+    got = cli_text(capsys, ["eval", "pdf", "mv", "--mu1", "0.5", "--mu2=-1", "--sigma1", "1.5",
+                            "--sigma2", "0.5", "--rho", "0.3", "--m", "0.025", "--points", "41",
+                            "--format", fmt])
+    assert got == want
 
 
 def test_verify_series_json(capsys):
@@ -190,7 +213,7 @@ def emitted(capsys, rows, fmt):
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-@pytest.mark.parametrize("block", [2, 65_536])
+@pytest.mark.parametrize("block", [2, cli._EMIT_BLOCK])
 def test_special_cells(capsys, monkeypatch, fmt, block):
     """NaN, +-inf, -0.0, a label with a quote and a comma, an empty label and a bool column."""
     monkeypatch.setattr(cli, "_EMIT_BLOCK", block)
@@ -202,3 +225,37 @@ def test_special_cells(capsys, monkeypatch, fmt, block):
 def test_zero_and_one_row_tables(capsys, fmt, n):
     rows = SPECIAL_ROWS[:n]
     assert emitted(capsys, rows, fmt) == expected(SPECIAL_COLUMNS, rows, fmt)
+
+
+#: Floats whose text is easy to get wrong, -0.0 beside 0.0 and NaN of either sign.
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+                  1.7976931348623157e308, 0.1]
+REPEATED_COLUMNS = ("x1", "x2", "value", "series")
+#: x1 holds each special float on 4 rows running, x2 cycles through them (so
+#: every short block of x2 is all distinct) and value is one float throughout.
+REPEATED_ROWS = [(a, b, 2.5, "M=0.025") for a, b in
+                 zip(np.repeat(SPECIAL_FLOATS, 4).tolist(), SPECIAL_FLOATS[::-1] * 4)]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("block", [2, 7, cli._EMIT_BLOCK])
+def test_repeated_special_cells(capsys, monkeypatch, fmt, block):
+    """Each distinct float, formatted once and mapped onto its rows, keeps its text."""
+    monkeypatch.setattr(cli, "_EMIT_BLOCK", block)
+    table = cli._table(**{c: [r[k] for r in REPEATED_ROWS] for k, c in enumerate(REPEATED_COLUMNS)})
+    cli._emit(table, fmt, out_path=None)
+    assert capsys.readouterr().out == expected(REPEATED_COLUMNS, REPEATED_ROWS, fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_repeated_columns_are_formatted_once_per_value(fmt):
+    """A column with at most half its rows distinct is text mapped onto the rows;
+    an all-distinct one is left to the row template (CSV) or one ``json.dumps``."""
+    repeated = np.repeat(np.linspace(-4.0, 4.0, 201), 201)[:cli._EMIT_BLOCK]
+    cells, field = cli._float_cells(repeated, fmt)
+    assert field == "%s" and len(set(map(id, cells))) == len(set(repeated.tolist()))
+    assert cells == [cell(v) if fmt == "csv" else json.dumps(v) for v in repeated.tolist()]
+    distinct = np.arange(1.0, 101.0)
+    cells, field = cli._float_cells(distinct, fmt)
+    assert field == ("%.17g" if fmt == "csv" else "%s")
+    assert cells == (distinct.tolist() if fmt == "csv" else [json.dumps(v) for v in distinct])

@@ -57,6 +57,17 @@ class TestBivariateParams:
             BivariateParams(0, 0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             BivariateParams(0, 0, 1.0, 1.0, -1.0)
+        for scale in (1e200, 1e-200, 1e-160):  # squares to inf, 0 and a subnormal
+            with pytest.raises(ValueError, match="sigma2 = "):
+                BivariateParams(0, 0, 1.0, scale, 0.0)
+
+    def test_variance_near_the_largest_float(self):
+        """Symmetrizing a variance above half the largest float does not overflow."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mv = MvMultiGauss([0.0, 0.0], BivariateParams(0, 0, 1e154, 1.0, 0.5).covariance(), 1)
+            peak = mv.pdf([0.0, 0.0])
+        assert peak == pytest.approx(1.0 / (2.0 * math.pi * 1e154 * math.sqrt(0.75)), rel=1e-14)
 
     def test_covariance_assembly(self):
         p = BivariateParams(1.0, -2.0, 2.0, 0.5, 0.6)
