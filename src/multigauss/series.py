@@ -16,7 +16,13 @@ hazards live here:
   coefficients and ``m^(-alpha)`` to one unit of ``2^-160``, are summed
   exactly in Python integers as fixed point, and only the final quotient
   rounds: for ``2 alpha`` a non-negative integer the value is correctly
-  rounded wherever the coefficients are exact (``M <= 54``).
+  rounded wherever the coefficients are exact (``M <= 54``).  Those powers
+  ``floor(2^160 m^(-alpha))`` do not depend on ``M``: a small bounded cache
+  keeps them for every shape, and the terms and sums are C-level passes
+  (``map``/``sum``) over them.  The float coefficients pass the float
+  range from ``M = 1021``, which gives NaN; from ``M = 1045``, where the
+  central one is above ``e^720``, the NaN comes before any is formed, so
+  it takes no time whatever ``M``.
 
 * For non-integer ``M`` the series is infinite with terms decaying like
   ``m^(-M-1-alpha)`` - much too slow to truncate at a few thousand terms when
@@ -27,7 +33,10 @@ hazards live here:
   this module: direct terms, then the Euler-Maclaurin formula, so nothing
   here needs more than numpy.  The terms are formed in numpy, a block of up
   to 2048 at a time, and the kept terms and the tail are summed with the
-  correctly rounded ``math.fsum``.
+  correctly rounded ``math.fsum``.  A long series (1024 terms or more) is
+  first cut by error-free vector extraction (`_exact_parts`) into a few
+  floats with the same exact sum, so ``fsum`` of those gives the very same
+  value in a few numpy passes.
 
 The condition number ``sum |t_m| / |sum t_m|`` of every evaluation is
 reported so callers can judge how many digits survived the cancellation.
@@ -38,7 +47,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import mul
+from functools import lru_cache
+from itertools import repeat
+from operator import floordiv, mul
 
 import numpy as np
 
@@ -369,36 +380,62 @@ def series_tail(alpha: float, m_shape, n_summed: int):
 #: Fraction bits of the fixed-point integer sum of an integer-shape series.
 _FIX_BITS = 160
 
+#: Natural log of the central coefficient ``C(M, M/2)`` above which the float
+#: product of the coefficients is certain to reach ``inf`` (the float range
+#: ends at ``e^709.8``): from ``M = 1045`` on.
+_LOG_COEFF_LIMIT = 720.0
+
+
+@lru_cache(maxsize=512)
+def _fixed_power(m: int, k: int) -> int:
+    """``floor(2^_FIX_BITS m^(-k/2))`` as ``isqrt(floor(2^(2 _FIX_BITS) / m^k))``.
+
+    These do not depend on the shape, so a new ``M`` reuses those of every
+    smaller one.  512 entries of ~140 bytes hold the orders ``k = 1..9`` up
+    to ``m = 57``.
+    """
+    return math.isqrt((1 << 2 * _FIX_BITS) // m ** k)
+
+
+def _coeffs_overflow(mi: int) -> bool:
+    """Whether the float coefficients of the integer shape ``mi`` are certain to reach ``inf``.
+
+    ``lgamma(M + 1) - 2 lgamma(M/2 + 1)`` is the log of the central
+    coefficient, to within ``1/(2M)``.
+    """
+    try:
+        return math.lgamma(mi + 1.0) - 2.0 * math.lgamma(mi / 2.0 + 1.0) > _LOG_COEFF_LIMIT
+    except OverflowError:  # lgamma itself leaves the float range (M ~ 1e306)
+        return True
+
 
 def _series_integer(alpha: float, shape: ShapeParam) -> SeriesResult:
     """The finite sum of an integer shape in ``2^-_FIX_BITS`` fixed point, rounded once.
 
-    ``m^-alpha`` is an integer square root where ``2 alpha`` is a
+    ``m^-alpha`` is the cached `_fixed_power` where ``2 alpha`` is a
     non-negative integer and the float ``m ** -alpha`` otherwise.  A
-    coefficient, power or sum beyond the float range, or a NaN order, gives NaN.
+    coefficient, power or sum beyond the float range, or a NaN order, gives
+    NaN, and so does a shape whose coefficients would overflow, before any
+    is formed.
     """
     mi = shape.int_value
+    if _coeffs_overflow(mi):
+        return SeriesResult(math.nan, mi, math.nan, TruncationFlag.EXACT)
+    ms = range(1, mi + 1)
     k = 2.0 * alpha
-    if k >= 0.0 and k.is_integer():
-        # isqrt(floor(2^2F / m^k)) = floor(2^F m^-alpha); for m >= 2, m^(2F+1)
-        # already exceeds 2^2F, which bounds the size of the power
-        k = min(int(k), 2 * _FIX_BITS + 1)
-
-        def power(m):
-            return math.isqrt((1 << 2 * _FIX_BITS) // m ** k)
-    else:
-        def power(m):
-            num, den = (m ** -alpha).as_integer_ratio()
-            return (num << _FIX_BITS) // den
-    total = abs_total = 0
     try:
-        for m, b in enumerate(_coeff_products(float(mi), mi), 1):
-            num, den = b.as_integer_ratio()
-            term = num * power(m) // den
-            total += term if m % 2 else -term
-            abs_total += term  # every C(M, m) of an integer M is positive
+        nums, dens = zip(*map(float.as_integer_ratio, _coeff_products(float(mi), mi)))
+        if k >= 0.0 and k.is_integer():
+            # for m >= 2, m^(2F+1) already exceeds 2^2F, which bounds the power
+            powers = map(_fixed_power, ms, repeat(min(int(k), 2 * _FIX_BITS + 1)))
+        else:
+            powers = [(num << _FIX_BITS) // den
+                      for num, den in map(float.as_integer_ratio, map(pow, ms, repeat(-alpha)))]
+        # exact terms; every C(M, m) of an integer M is positive
+        terms = list(map(floordiv, map(mul, nums, powers), dens))
+        total = sum(terms[::2]) - sum(terms[1::2])
         value = total / (1 << _FIX_BITS)
-        cond = abs_total / abs(total) if total else math.inf
+        cond = sum(terms) / abs(total) if total else math.inf
     except (OverflowError, ValueError):
         return SeriesResult(math.nan, mi, math.nan, TruncationFlag.EXACT)
     return SeriesResult(value, mi, cond, TruncationFlag.EXACT)
@@ -427,6 +464,43 @@ def _first_block(alpha: float, v: float, policy: TruncationPolicy) -> int:
         return _SERIES_BLOCK
     size = max(2.0 * math.exp(log_stop) + v + 16.0, policy.min_terms)
     return min(_SERIES_BLOCK, 2 * math.ceil(size / 2.0))
+
+
+#: Terms from which the fractional series is summed by `_exact_parts`: below
+#: it, ``math.fsum`` of the term list costs no more than the vector passes.
+_EXTRACT_MIN = 1024
+
+
+def _exact_parts(p: np.ndarray) -> list[float]:
+    """A few floats whose exact sum is the exact sum of the finite floats ``p``.
+
+    Rump, Ogita & Oishi's error-free ``ExtractVector`` (*Accurate
+    floating-point summation, Part I*, SIAM J. Sci. Comput. 31(1), 2008),
+    repeated until nothing is left.  With ``sigma`` a power of two of at
+    least ``2^(ceil(log2 n) + 1)`` times ``2^ceil(log2 max|p|)``, the high
+    parts ``q = (sigma + p) - sigma`` are multiples of ``2^-53 sigma`` of
+    size at most ``sigma / 2n``: their sum is exact in any order, and so is
+    the remainder ``p - q``, which the next pass extracts in turn.  A
+    remainder whose ``sigma`` would leave the normal float range is
+    returned as it is.  ``math.fsum`` of the parts is thus the correctly
+    rounded sum of ``p``, the very value of ``math.fsum(p.tolist())``.
+    """
+    shift = (p.size - 1).bit_length() + 1
+    p = p.copy()
+    q = np.empty_like(p)
+    parts = []
+    while True:
+        top = float(np.abs(p, out=q).max())
+        if top == 0.0:
+            return parts
+        e = math.frexp(top)[1] + shift  # 2^frexp(top)[1] >= 2^ceil(log2 top)
+        if not -1021 <= e <= 1023:
+            return parts + p.tolist()
+        sigma = math.ldexp(1.0, e)
+        np.add(p, sigma, out=q)
+        q -= sigma
+        p -= q
+        parts.append(float(q.sum()))
 
 
 def _series_fractional(alpha: float, shape: ShapeParam, policy: TruncationPolicy) -> SeriesResult:
@@ -462,7 +536,8 @@ def _series_fractional(alpha: float, shape: ShapeParam, policy: TruncationPolicy
     tail, residual = series_tail(alpha, shape, terms_used)
     if np.isfinite(terms).all():
         try:
-            value = math.fsum(terms.tolist() + [tail])
+            parts = _exact_parts(terms) if terms.size >= _EXTRACT_MIN else terms.tolist()
+            value = math.fsum(parts + [tail])
         except OverflowError:  # a partial sum beyond the float range
             value = math.nan
         # sum |t_m| only sets the condition number, so a plain sum serves, and

@@ -4,7 +4,7 @@ Each expected text is built here without the CLI: ``csv.writer`` writing a
 header line, then one line per row with every float cell written as
 ``f"{v:.17g}"``; JSON is ``json.dumps`` of the list of row objects.  A change
 in how the CLI formats, orders or computes its output shows up as a byte
-difference.
+difference, reported at its first differing line.
 """
 
 import csv
@@ -40,6 +40,25 @@ def cli_text(capsys, argv):
     return out
 
 
+def assert_same_text(got, want):
+    """Fail at the first line that differs, showing a short window of it.
+
+    A surface is ~3.5 MB of text (JSON on one line), which pytest's own
+    assertion diff would take minutes to render.
+    """
+    if got == want:
+        return
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    line = next((i for i, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w),
+                min(len(got_lines), len(want_lines)))
+    g = got_lines[line] if line < len(got_lines) else "<end of text>"
+    w = want_lines[line] if line < len(want_lines) else "<end of text>"
+    col = next((i for i, (a, b) in enumerate(zip(g, w)) if a != b), min(len(g), len(w)))
+    start = max(col - 60, 0)
+    pytest.fail(f"line {line + 1} of {len(want_lines)} (expected), column {col + 1}:\n"
+                f"  got:  {g[start:col + 60]!r}\n  want: {w[start:col + 60]!r}", pytrace=False)
+
+
 def curve(xs, values, label):
     return [(float(x), float(v), label) for x, v in zip(xs, values)]
 
@@ -63,7 +82,7 @@ def test_eval_curve_mg(capsys, kind, fmt):
     want = expected(XV, curve(xs, [f(float(x)) for x in xs], "M=2.5"), fmt)
     got = cli_text(capsys, ["eval", kind, "mg", "--mu=-0.3", "--sigma", "1.2", "--m", "2.5",
                             "--points", "41", "--format", fmt])
-    assert got == want
+    assert_same_text(got, want)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -75,7 +94,7 @@ def test_eval_curve_lmg(capsys, kind, fmt):
     want = expected(XV, curve(ys, [f(float(y)) for y in ys], "M=0.5"), fmt)
     got = cli_text(capsys, ["eval", kind, "lmg", "--mu", "0.2", "--sigma", "0.8", "--m", "0.5",
                             "--points", "41", "--format", fmt])
-    assert got == want
+    assert_same_text(got, want)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -87,7 +106,7 @@ def test_eval_cf_real_then_imaginary(capsys, fmt):
             + curve(ws, [v.imag for v in vals], "M=10:im"))
     got = cli_text(capsys, ["eval", "cf", "mg", "--mu", "0.4", "--m", "10", "--points", "9",
                             "--format", fmt])
-    assert got == expected(XV, rows, fmt)
+    assert_same_text(got, expected(XV, rows, fmt))
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -96,7 +115,7 @@ def test_eval_moments(capsys, fmt):
     rows = [(float(k), d.raw_moment(k), "M=40") for k in range(1, 7)]
     got = cli_text(capsys, ["eval", "moments", "mg", "--mu", "0.5", "--sigma", "1.5",
                             "--m", "40", "--k", "6", "--format", fmt])
-    assert got == expected(XV, rows, fmt)
+    assert_same_text(got, expected(XV, rows, fmt))
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -105,7 +124,7 @@ def test_sample_mg(capsys, fmt):
     rows = [(float(i + 1), float(v), "M=0.025") for i, v in enumerate(draws)]
     got = cli_text(capsys, ["sample", "mg", "--mu", "1", "--sigma", "2", "--m", "0.025",
                             "--n", "50", "--seed", "11", "--format", fmt])
-    assert got == expected(XV, rows, fmt)
+    assert_same_text(got, expected(XV, rows, fmt))
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -118,7 +137,7 @@ def test_sample_mv(capsys, fmt):
     got = cli_text(capsys, ["sample", "mv", "--mu1", "0.5", "--mu2=-1", "--sigma2", "2",
                             "--rho=-0.4", "--m", "10", "--n", "50", "--seed", "12",
                             "--format", fmt])
-    assert got == expected(("x", "x1", "x2", "series"), rows, fmt)
+    assert_same_text(got, expected(("x", "x1", "x2", "series"), rows, fmt))
 
 
 @pytest.fixture(scope="module", params=FORMATS)
@@ -136,7 +155,7 @@ def test_figure_location_sweep(figures):
     d = MultiGauss(3.0, 1.0, 10)
     xs = np.linspace(3.0 - 5.0, 3.0 + 5.0, 801)
     want = expected(XV, curve(xs, [d.pdf(float(x)) for x in xs], "mu=3 sigma=1"), fmt)
-    assert (out / f"fig2_a_mu3_sigma1.{fmt}").read_text() == want
+    assert_same_text((out / f"fig2_a_mu3_sigma1.{fmt}").read_text(), want)
 
 
 def test_figure_log_scale_cdf(figures):
@@ -144,7 +163,7 @@ def test_figure_log_scale_cdf(figures):
     d = LogMultiGauss(0.0, 1.0, 10)
     ys = np.exp(np.linspace(-5.0, 5.0, 801))
     want = expected(XV, curve(ys, [d.cdf(float(y)) for y in ys], "M=10"), fmt)
-    assert (out / f"fig3_b_M10.{fmt}").read_text() == want
+    assert_same_text((out / f"fig3_b_M10.{fmt}").read_text(), want)
 
 
 def test_figure_surface(figures):
@@ -153,7 +172,7 @@ def test_figure_surface(figures):
     mv = MvMultiGauss(p.mean(), p.covariance(), 40)
     ax = np.linspace(-4.0, 4.0, 201)
     want = expected(("x1", "x2", "value", "series"), surface(mv, ax, ax, "M=40 rho=0.7"), fmt)
-    assert (out / f"fig5_d_M40_rho0p7.{fmt}").read_text() == want
+    assert_same_text((out / f"fig5_d_M40_rho0p7.{fmt}").read_text(), want)
 
 
 def test_figure_cusped_surface(figures):
@@ -162,7 +181,7 @@ def test_figure_cusped_surface(figures):
     mv = MvMultiGauss([0.0, 0.0], np.eye(2), 0.025)
     ax = np.linspace(-4.0, 4.0, 201)
     want = expected(("x1", "x2", "value", "series"), surface(mv, ax, ax, "M=0.025 rho=0"), fmt)
-    assert (out / f"fig8_c_M0p025_rho0.{fmt}").read_text() == want
+    assert_same_text((out / f"fig8_c_M0p025_rho0.{fmt}").read_text(), want)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -176,13 +195,13 @@ def test_eval_pdf_mv(capsys, fmt):
     got = cli_text(capsys, ["eval", "pdf", "mv", "--mu1", "0.5", "--mu2=-1", "--sigma1", "1.5",
                             "--sigma2", "0.5", "--rho", "0.3", "--m", "0.025", "--points", "41",
                             "--format", fmt])
-    assert got == want
+    assert_same_text(got, want)
 
 
 def test_verify_series_json(capsys):
     rows = [r.to_dict() for r in verify.run_suite("series")]
     got = cli_text(capsys, ["verify", "--suite", "series", "--format", "json"])
-    assert got == json.dumps(rows)
+    assert_same_text(got, json.dumps(rows))
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -193,7 +212,7 @@ def test_verify_univariate(capsys, fmt):
     assert any("," in r["target_name"] for r in rows)
     assert any(r["rel_err"] == math.inf for r in rows)
     got = cli_text(capsys, ["verify", "--suite", "univariate", "--format", fmt])
-    assert got == expected(columns, [tuple(r.values()) for r in rows], fmt)
+    assert_same_text(got, expected(columns, [tuple(r.values()) for r in rows], fmt))
 
 
 SPECIAL_COLUMNS = ("x", "value", "flag", "series")
@@ -217,14 +236,15 @@ def emitted(capsys, rows, fmt):
 def test_special_cells(capsys, monkeypatch, fmt, block):
     """NaN, +-inf, -0.0, a label with a quote and a comma, an empty label and a bool column."""
     monkeypatch.setattr(cli, "_EMIT_BLOCK", block)
-    assert emitted(capsys, SPECIAL_ROWS, fmt) == expected(SPECIAL_COLUMNS, SPECIAL_ROWS, fmt)
+    assert_same_text(emitted(capsys, SPECIAL_ROWS, fmt),
+                     expected(SPECIAL_COLUMNS, SPECIAL_ROWS, fmt))
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("n", [0, 1])
 def test_zero_and_one_row_tables(capsys, fmt, n):
     rows = SPECIAL_ROWS[:n]
-    assert emitted(capsys, rows, fmt) == expected(SPECIAL_COLUMNS, rows, fmt)
+    assert_same_text(emitted(capsys, rows, fmt), expected(SPECIAL_COLUMNS, rows, fmt))
 
 
 #: Floats whose text is easy to get wrong, -0.0 beside 0.0 and NaN of either sign.
@@ -244,7 +264,7 @@ def test_repeated_special_cells(capsys, monkeypatch, fmt, block):
     monkeypatch.setattr(cli, "_EMIT_BLOCK", block)
     table = cli._table(**{c: [r[k] for r in REPEATED_ROWS] for k, c in enumerate(REPEATED_COLUMNS)})
     cli._emit(table, fmt, out_path=None)
-    assert capsys.readouterr().out == expected(REPEATED_COLUMNS, REPEATED_ROWS, fmt)
+    assert_same_text(capsys.readouterr().out, expected(REPEATED_COLUMNS, REPEATED_ROWS, fmt))
 
 
 @pytest.mark.parametrize("fmt", FORMATS)

@@ -1,7 +1,11 @@
 """Tests for the alternating binomial series engine."""
 
+import json
 import math
+import os
+import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +20,7 @@ from multigauss import (
     signed_coeffs,
     xi_coeff,
 )
-from multigauss.series import DEFAULT_POLICY, check_normalization, series_tail
+from multigauss.series import DEFAULT_POLICY, SeriesResult, check_normalization, series_tail
 
 # Frozen references from 40-digit evaluations (integral representation for
 # fractional shapes, exact finite sums for integer ones).
@@ -278,19 +282,19 @@ def loop_stop(alpha, mval, policy):
 
 
 @pytest.fixture(scope="module")
-def mellin_refs():
+def reference_doc():
+    """The mpmath references written by ``tests/series_reference.py``."""
+    with open(os.path.join(os.path.dirname(__file__), "series_reference.json"),
+              encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def mellin_refs(reference_doc):
     """``S(a; M)`` at 40 digits from ``Gamma(a)^-1 int t^(a-1) [1 - (1 - e^-t)^M] dt``."""
-    mpmath = pytest.importorskip("mpmath")
-    refs = {}
-    with mpmath.workdps(40):
-        for mval in FRACTIONAL_SHAPES:
-            big_m = mpmath.mpf(mval)
-            for a in (0.5, 1.0, 1.5, 2.5):
-                big_a = mpmath.mpf(a)
-                f = lambda t: t ** (big_a - 1) * (1 - (1 - mpmath.exp(-t)) ** big_m)
-                s = mpmath.quad(f, [0, 1, 10, 50, mpmath.inf]) / mpmath.gamma(big_a)
-                refs[a, mval] = float(s)
-    return refs
+    doc = reference_doc["fractional"]
+    return {(a, mval): doc["values"][repr(mval)][i]
+            for mval in FRACTIONAL_SHAPES for i, a in enumerate(doc["orders"])}
 
 
 FRACTIONAL_SHAPES = (1e-3, 0.025, 0.5, 2.5, 7.3, 12.378584)
@@ -365,18 +369,11 @@ class TestFractionalSeries:
 
 
 @pytest.fixture(scope="module")
-def integer_refs():
+def integer_refs(reference_doc):
     """``S(k/2; M)`` for ``k = 1..12``, ``M = 1..54`` at 60 digits, with exact binomials."""
-    mpmath = pytest.importorskip("mpmath")
-    refs = {}
-    with mpmath.workdps(60):
-        for mval in range(1, 55):
-            for k in range(1, 13):
-                a = mpmath.mpf(k) / 2
-                refs[k, mval] = float(mpmath.fsum(
-                    (-1) ** (m - 1) * math.comb(mval, m) * mpmath.power(m, -a)
-                    for m in range(1, mval + 1)))
-    return refs
+    doc = reference_doc["integer"]
+    return {(k, mval): doc["values"][str(mval)][i]
+            for mval in range(1, 55) for i, k in enumerate(doc["k"])}
 
 
 class TestIntegerSeries:
@@ -422,3 +419,151 @@ class TestIntegerSeries:
             warnings.simplefilter("error")
             r = series_s(alpha, mval)
         assert math.isnan(r.value) and r.truncation_flag is TruncationFlag.EXACT
+
+
+# ---------------------------------------------------------------------------
+# the same bits as the former summation
+# ---------------------------------------------------------------------------
+
+def former_integer(alpha, mval):
+    """The former term-by-term fixed-point loop of an integer shape."""
+    from multigauss.series import _FIX_BITS, _coeff_products
+
+    k = 2.0 * alpha
+    if k >= 0.0 and k.is_integer():
+        k = min(int(k), 2 * _FIX_BITS + 1)
+
+        def power(m):
+            return math.isqrt((1 << 2 * _FIX_BITS) // m ** k)
+    else:
+        def power(m):
+            num, den = (m ** -alpha).as_integer_ratio()
+            return (num << _FIX_BITS) // den
+    total = abs_total = 0
+    try:
+        for m, b in enumerate(_coeff_products(float(mval), mval), 1):
+            num, den = b.as_integer_ratio()
+            term = num * power(m) // den
+            total += term if m % 2 else -term
+            abs_total += term
+        value = total / (1 << _FIX_BITS)
+        cond = abs_total / abs(total) if total else math.inf
+    except (OverflowError, ValueError):
+        return SeriesResult(math.nan, mval, math.nan, TruncationFlag.EXACT)
+    return SeriesResult(value, mval, cond, TruncationFlag.EXACT)
+
+
+def fields(r):
+    """Every field of a result, floats as their bits (``-0.0`` is not ``0.0``, NaN is NaN)."""
+    return (r.value.hex(), r.terms_used, r.condition_number.hex(), r.truncation_flag)
+
+
+@pytest.fixture
+def former_fsum(monkeypatch):
+    """``series_s`` with every kept term summed as ``math.fsum(terms.tolist() + [tail])``."""
+    from multigauss import series
+
+    def run(alpha, mval, policy=None):
+        with monkeypatch.context() as patch:
+            patch.setattr(series, "_exact_parts", lambda p: p.tolist())
+            return series_s(alpha, mval, policy)
+    return run
+
+
+HEAVY_CANCELLATION = tuple(20.5 + i for i in range(28))  # 20.5 .. 47.5
+
+
+class TestSameBitsAsTheFormerSums:
+    @pytest.mark.parametrize("mval", (1e-9, 1e-6, 0.025, 0.5, 2.5, 12.378584)
+                             + HEAVY_CANCELLATION + (200.3,))
+    def test_fractional_shapes(self, former_fsum, mval):
+        for alpha in (0.25, 0.5, 1.0, 1.5, 2.5, 7.0):
+            for policy in (DEFAULT_POLICY, TruncationPolicy(eps_abs=0.0, max_terms=3000)):
+                assert fields(series_s(alpha, mval, policy)) == fields(
+                    former_fsum(alpha, mval, policy)), (alpha, mval, policy)
+
+    @pytest.mark.parametrize("mval", [1e-6, 0.5])
+    def test_a_million_terms(self, former_fsum, mval):
+        policy = TruncationPolicy(max_terms=10**6)
+        r = series_s(0.5, mval, policy)
+        assert r.terms_used > 10**5  # many blocks, summed at once
+        assert fields(r) == fields(former_fsum(0.5, mval, policy))
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.5, 1e6, -400.0, math.nan])
+    def test_integer_shapes(self, alpha):
+        for mval in range(1, 81):
+            assert fields(series_s(alpha, mval)) == fields(former_integer(alpha, mval)), mval
+
+    def test_integer_shapes_where_the_coefficients_overflow(self):
+        # the float coefficients reach inf from M = 1021, and from M = 1045 the
+        # shape is refused before any is formed, with the former loop's result
+        for mval in range(1000, 1101):
+            assert fields(series_s(0.5, mval)) == fields(former_integer(0.5, mval)), mval
+
+    @pytest.mark.parametrize("mval", [1e20, 1e300, 1.7e308])
+    def test_huge_integer_shapes_return_at_once(self, monkeypatch, mval):
+        # summed term by term, such a shape would never end, its list of
+        # coefficients growing without bound: none may be formed
+        from multigauss import MultiGauss, series
+
+        def no_coefficients(v, n):
+            raise AssertionError(f"{n} coefficients formed for M={v}")
+
+        monkeypatch.setattr(series, "_coeff_products", no_coefficients)
+        start = time.perf_counter()
+        r = series_s(0.5, mval)
+        with pytest.raises(SeriesNotConverged):
+            MultiGauss(0.0, 1.0, mval)
+        assert time.perf_counter() - start < 1.0
+        assert math.isnan(r.value) and math.isnan(r.condition_number)
+        assert r.terms_used == ShapeParam(mval).int_value
+        assert r.truncation_flag is TruncationFlag.EXACT
+
+
+def exact_sum(values):
+    return sum(map(Fraction, values), Fraction(0))
+
+
+class TestExactParts:
+    """`_exact_parts` returns floats whose exact sum is that of its input."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_wide_exponent_ranges(self, seed):
+        from multigauss.series import _exact_parts
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 3000))
+        p = rng.standard_normal(n) * np.exp2(rng.integers(-60, 60, n))
+        parts = _exact_parts(p)
+        assert exact_sum(parts) == exact_sum(p.tolist())
+        assert math.fsum(parts) == math.fsum(p.tolist())
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 1024, 1025, 2047, 2048])
+    def test_one_sign_near_a_power_of_two(self, n):
+        # the largest sums the bound on sigma allows: every term of one sign,
+        # just below 2^e, with low bits at each level the extraction rounds to
+        from multigauss.series import _exact_parts
+
+        for c in (30, 40, 41, 42, 43, 44, 52, 53):
+            for sign in (1.0, -1.0):
+                p = np.full(n, sign * (1.0 - 2.0**-c))
+                p[::3] *= 1.0 - 2.0**-52
+                assert exact_sum(_exact_parts(p)) == exact_sum(p.tolist()), (c, sign)
+
+    def test_the_ends_of_the_float_range(self):
+        from multigauss.series import _exact_parts
+
+        huge = np.array([1.7e308, -1.6e308, 3.0, 5e-324, -1e-310])
+        tiny = np.array([5e-324, 1e-310, -3e-320, 2.2e-308, 0.0])
+        for p in (huge, tiny, np.zeros(4), np.concatenate((huge[1:], tiny))):
+            parts = _exact_parts(p)
+            assert all(map(math.isfinite, parts))
+            assert exact_sum(parts) == exact_sum(p.tolist())
+
+    def test_leaves_its_input_alone(self):
+        from multigauss.series import _exact_parts
+
+        p = np.linspace(-1.0, 3.0, 2000) ** 3
+        before = p.copy()
+        _exact_parts(p)
+        np.testing.assert_array_equal(p, before)

@@ -4,6 +4,7 @@ The CDF table, the radial inverse, the expectation rules and the ``xi``
 cache are built on first use.  Here eight threads make that first use of
 one shared object at once, each with its own generator, and every result
 must have the bits of the same call made by one thread on a fresh object.
+The series' cache of fixed-point powers is filled from eight threads too.
 """
 
 import sys
@@ -13,7 +14,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from multigauss import MultiGauss, MvMultiGauss
+from multigauss import MultiGauss, MvMultiGauss, series_s
+from multigauss.series import _fixed_power
 
 THREADS = 8
 XS = np.linspace(-4.0, 4.0, 41)
@@ -65,3 +67,34 @@ def test_first_use_from_eight_threads_has_the_single_thread_bits(short_switch_in
     for k in range(THREADS):
         for g, w in zip(got[k], want[k]):
             np.testing.assert_array_equal(g, w)
+
+
+SERIES_CASES = [(a, m) for m in (2, 10, 40, 54, 57, 0.5, 2.5, 12.378584, 40.5)
+                for a in (0.5, 1.0, 1.5, 4.5)]
+
+
+def test_series_from_eight_threads_has_the_single_thread_bits(short_switch_interval):
+    assert _fixed_power.cache_info().maxsize is not None  # bounded, whatever the shapes
+    want = [series_s(a, m) for a, m in SERIES_CASES]
+    _fixed_power.cache_clear()
+    barrier = threading.Barrier(THREADS, timeout=60.0)
+
+    def work(k):
+        try:
+            barrier.wait()
+            # each thread takes the cases in its own order
+            order = SERIES_CASES[k:] + SERIES_CASES[:k]
+            return dict(zip(order, [series_s(a, m) for a, m in order]))
+        except BaseException:
+            barrier.abort()
+            raise
+
+    with ThreadPoolExecutor(THREADS) as pool:
+        got = list(pool.map(work, range(THREADS)))
+    assert _fixed_power.cache_info().currsize > 0
+    for results in got:
+        for case, w in zip(SERIES_CASES, want):
+            g = results[case]
+            assert (g.value, g.terms_used, g.truncation_flag) == (w.value, w.terms_used,
+                                                                   w.truncation_flag), case
+            assert g.condition_number == w.condition_number, case
