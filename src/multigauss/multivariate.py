@@ -35,16 +35,22 @@ import numpy as np
 from dataclasses import dataclass
 
 from .series import ShapeParam
-from .univariate import (_CdfTable, _RadialInverse, _gaussian, _normalization, _radial_draw,
-                         mg_profile)
+from .univariate import (_LOG_TAIL_SWITCH, _CdfTable, _RadialInverse, _gaussian, _normalization,
+                         _profile_tail_series, _radial_draw, mg_profile)
 
 __all__ = ["MvMultiGauss", "BivariateParams", "bivariate_pdf"]
 
 _TWO_PI = 2.0 * math.pi
 
 #: Rows of the Cholesky factor per step of the forward substitution: each
-#: step first subtracts, in one matrix product, the rows solved before it.
-_SUBST_BLOCK = 32
+#: step first subtracts, in one matrix product, the rows solved before it,
+#: then solves its own rows by elementwise operations, so up to this many
+#: dimensions the substitution makes no matrix product.
+_SUBST_BLOCK = 4
+
+#: From this many dimensions on the squares are summed pairwise, below it in
+#: row order.
+_PAIRWISE_FROM = 8
 
 
 @dataclass(frozen=True)
@@ -100,13 +106,13 @@ class MvMultiGauss:
         mean = np.array(mean, dtype=float, copy=True).reshape(-1)
         if mean.size < 1:
             raise ValueError("mean must have at least one component")
-        if not np.all(np.isfinite(mean)):
+        if not np.isfinite(mean).all():
             raise ValueError("mean must be finite")
         cov = np.array(cov, dtype=float, copy=True)
         n = mean.size
         if cov.shape != (n, n):
             raise ValueError(f"cov must be {n}x{n}, got {cov.shape}")
-        if not np.all(np.isfinite(cov)):
+        if not np.isfinite(cov).all():
             raise ValueError("cov must be finite")
         scale = float(np.abs(cov).max())
         if scale <= 0.0 or float(np.abs(cov - cov.T).max()) > 1e-12 * scale:
@@ -124,9 +130,16 @@ class MvMultiGauss:
         self._chol = chol
         self._shape = ShapeParam.of(m)
         self._norm_result = _normalization(0.5 * n, self._shape, f"normalization S({0.5 * n:g}; M)")
-        self._log_det_half = float(np.sum(np.log(np.diag(chol))))
+        diag = chol.diagonal()
+        self._log_det_half = float(np.log(diag).sum())
         # multiplied, not divided, as in scipy's solve_triangular: at N = 1 Q keeps its bits
-        self._inv_diag = 1.0 / np.diag(chol)
+        self._inv_diag = 1.0 / diag
+        self._log_norm = (math.log(self.norm_const) + 0.5 * n * math.log(_TWO_PI)
+                          + self._log_det_half)
+        try:
+            self._norm = self.norm_const * _TWO_PI ** (0.5 * n) * math.exp(self._log_det_half)
+        except OverflowError:  # (2 pi)^(N/2) from N ~ 773, or det(Sigma)^(1/2): see pdf
+            self._norm = math.inf
         for arr in (self._mean, self._cov, self._chol):
             arr.setflags(write=False)
 
@@ -169,44 +182,103 @@ class MvMultiGauss:
         return f"MvMultiGauss(dim={self.dim}, m={self._shape.value:g})"
 
     def mahalanobis_sq(self, x) -> np.ndarray | float:
-        """Quadratic form ``(x - mean)^T Sigma^{-1} (x - mean)``."""
+        """Quadratic form ``(x - mean)^T Sigma^{-1} (x - mean)``.
+
+        ``x`` is a point of shape ``(N,)``, which gives a ``float``, or a batch
+        of shape ``(..., N)``, which gives an array of shape ``(...)``; any
+        other last axis raises ``ValueError``.  ``Q = |z|^2`` with ``L z = x -
+        mean``, solved by forward substitution on one C-ordered ``(N, k)``
+        copy of ``x - mean``, one contiguous row per coordinate:
+
+        * the rows go in blocks of `_SUBST_BLOCK`; one matrix product
+          subtracts from a block's rows their terms ``L_ij z_j`` of the
+          blocks before it;
+        * within a block, row ``i`` subtracts ``sum_j L_ij z_j`` over the
+          block's earlier rows, added up elementwise in ``j`` order, and is
+          then scaled by ``1/L_ii``.  Up to 4 dimensions this is all, so the
+          order of every rounding is fixed, and no BLAS, FMA or thread runs;
+        * the squares are summed in row order below `_PAIRWISE_FROM` terms and
+          pairwise from it on.
+
+        At ``N <= 2`` this gives the bits of a solve by one dot product per
+        row; beyond, ``Q`` is within 7.4e-16 relative of a long-double
+        substitution on random covariances.  A point holding a NaN gives
+        NaN, one holding an inf or whose ``Q`` passes the float range gives
+        inf, silently, and the other points are left alone.
+        """
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        if pts.shape[1] != self.dim:
-            raise ValueError(f"points must have dimension {self.dim}, got {pts.shape[1]}")
-        # forward substitution L z = x - mean, one point per column, so a
-        # point holding a NaN or an inf, or one whose Q passes the float
-        # range, gives nan or inf, silently, and leaves the other points alone
+        n = self.dim
+        if x.ndim == 0 or x.shape[-1] != n:
+            raise ValueError(f"points must have {n} coordinates on their last axis, "
+                             f"got shape {x.shape}")
+        pts = x.reshape(-1, n)
+        # the factor's entries as Python floats, which a ufunc takes faster than numpy scalars
+        chol, inv_diag = self._chol, self._inv_diag.tolist()
         with np.errstate(over="ignore", invalid="ignore"):
-            chol, z = self._chol, (pts - self._mean).T
-            for start in range(0, self.dim, _SUBST_BLOCK):
-                block = slice(start, start + _SUBST_BLOCK)
+            z = np.subtract(pts.T, self._mean[:, None], order="C")
+            rows = list(z)  # an in-place op on a view writes nothing back, as z[i] -= ... would
+            s, t = np.empty((2, len(pts)))
+            for start in range(0, n, _SUBST_BLOCK):
+                stop = min(start + _SUBST_BLOCK, n)
                 if start:
-                    z[block] -= chol[block, :start] @ z[:start]
-                for i in range(start, min(start + _SUBST_BLOCK, self.dim)):
-                    z[i] = (z[i] - chol[i, start:i] @ z[start:i]) * self._inv_diag[i]
-            q = np.sum(z * z, axis=0)
+                    block = z[start:stop]
+                    block -= chol[start:stop, :start] @ z[:start]
+                for i in range(start, stop):
+                    zi = rows[i]
+                    if i > start:  # s = sum of L_ij z_j over the block's earlier rows, in j order
+                        terms = zip(chol[i, start:i].tolist(), rows[start:i])
+                        lij, zj = next(terms)
+                        np.multiply(zj, lij, out=s)
+                        for lij, zj in terms:
+                            s += np.multiply(zj, lij, out=t)
+                        zi -= s
+                    zi *= inv_diag[i]
+            z *= z
+            q = z.sum(axis=0) if n < _PAIRWISE_FROM else _pairwise_rows(z)
         # where infinite terms meet (inf - inf) Q is NaN; with no NaN coordinate
-        # it is +inf there, as the matrix is positive definite
-        bad = np.isnan(q)
-        if bad.any():
-            q[bad & ~np.isnan(pts).any(axis=1)] = np.inf
-        if single:
-            return float(q[0])
-        return q
+        # it is +inf there, as the matrix is positive definite.  Q >= 0, so
+        # its sum is NaN only where some Q is.
+        if math.isnan(q.sum()):
+            q[np.isnan(q) & ~np.isnan(pts).any(axis=1)] = np.inf
+        return float(q[0]) if x.ndim == 1 else q.reshape(x.shape[:-1])
+
+    def logpdf(self, x):
+        """Log-density at a point of shape ``(N,)`` or a batch of shape ``(..., N)``.
+
+        ``log f(Q/2)`` of the closed form less the log normalizer ``log
+        S(N/2; M) + (N/2) log 2 pi + log det(Sigma)/2``, so it is finite
+        wherever ``Q`` is, in every dimension.  Beyond `_LOG_TAIL_SWITCH`,
+        where ``f`` leaves the normal float range, ``log f = log h - w`` with
+        the scaled profile ``h = e^w f = M``, as in `MultiGauss.logpdf`.
+        """
+        q = self.mahalanobis_sq(x)
+        w = np.atleast_1d(0.5 * np.asarray(q))
+        with np.errstate(divide="ignore"):  # the profile underflows to 0: -inf
+            out = np.log(mg_profile(w, self._shape))
+        far = w > _LOG_TAIL_SWITCH
+        out[far] = np.log(_profile_tail_series(w[far], self._shape)) - w[far]
+        out -= self._log_norm
+        return float(out[0]) if np.ndim(q) == 0 else out
 
     def pdf(self, x):
-        """Density at a point of shape (N,) or a batch of shape (k, N)."""
-        q = self.mahalanobis_sq(x)
-        core = mg_profile(np.asarray(q) * 0.5, self._shape)
-        norm = self.norm_const * _TWO_PI ** (0.5 * self.dim) * math.exp(self._log_det_half)
-        # a subnormal or zero normalization: inf, or NaN where the profile underflows too
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            out = np.divide(core, norm)
-        if np.isscalar(q) or np.ndim(q) == 0:
-            return float(out)
-        return out
+        """Density at a point of shape ``(N,)`` or a batch of shape ``(..., N)``.
+
+        The profile at ``Q/2`` divided by the float normalizer ``S(N/2; M)
+        (2 pi)^(N/2) det(Sigma)^(1/2)``, which the constructor forms once.
+        ``Q`` comes from `mahalanobis_sq`'s forward substitution, which up to
+        4 dimensions is elementwise numpy in a fixed order.  Where the
+        normalizer is not a normal float (it passes the float range from
+        ``N`` ~ 773, or ``det(Sigma)`` is huge or tiny) the density is
+        ``exp(logpdf)``: 0 or subnormal far out, inf where it passes the float
+        range.
+        """
+        if not sys.float_info.min <= self._norm < math.inf:
+            with np.errstate(over="ignore"):
+                out = np.exp(self.logpdf(x))
+        else:
+            core = mg_profile(np.asarray(self.mahalanobis_sq(x)) * 0.5, self._shape)
+            out = np.divide(core, self._norm)
+        return float(out) if np.ndim(out) == 0 else out
 
     def ellipsoid_mass(self, q):
         """``P(Q <= q)``, the mass inside the ellipsoid ``Q(x) <= q``.
@@ -251,6 +323,20 @@ class MvMultiGauss:
     @cached_property
     def _inverse(self) -> _RadialInverse:
         return _RadialInverse(self._radial_table)
+
+
+def _pairwise_rows(sq: np.ndarray) -> np.ndarray:
+    """Column sums of ``sq`` by pairwise summation; ``sq`` is overwritten.
+
+    The top half of the rows is added onto the bottom half until one row is
+    left, so each sum has ``ceil(log2 N)`` rounding steps.
+    """
+    m = len(sq)
+    while m > 1:
+        h = m // 2
+        sq[:h] += sq[m - h:m]
+        m -= h
+    return sq[0].copy()
 
 
 def bivariate_pdf(params: BivariateParams, m, x1, x2):

@@ -4,7 +4,9 @@ The CDF table, the radial inverse, the expectation rules and the ``xi``
 cache are built on first use.  Here eight threads make that first use of
 one shared object at once, each with its own generator, and every result
 must have the bits of the same call made by one thread on a fresh object.
-The series' cache of fixed-point powers is filled from eight threads too.
+The mv density of a batch runs among them: its forward substitution keeps
+every buffer local to the call.  The series' cache of fixed-point powers is
+filled from eight threads too.
 """
 
 import sys
@@ -20,6 +22,7 @@ from multigauss.series import _fixed_power
 THREADS = 8
 XS = np.linspace(-4.0, 4.0, 41)
 US = [1e-6, 0.01, 0.3, 0.5, 0.9, 0.999999]
+PTS = np.random.default_rng(3).normal(size=(4, 50, 3)) * 2.0
 
 
 def fresh():
@@ -32,7 +35,8 @@ def calls(d, mv, seed, sync=lambda: None):
     rng = np.random.default_rng(seed)
     steps = [lambda: d.xi(2), lambda: d.mgf([-1.0, 0.5, 2.0]), lambda: d.cf([0.5, 3.0]),
              lambda: d.cdf(XS), lambda: d.quantile(US), lambda: d.sample(200, rng),
-             lambda: mv.ellipsoid_mass([0.1, 1.0, 4.0, 25.0]), lambda: mv.sample(200, rng)]
+             lambda: mv.ellipsoid_mass([0.1, 1.0, 4.0, 25.0]), lambda: mv.sample(200, rng),
+             lambda: mv.pdf(PTS)]
     out = []
     for step in steps:
         sync()
