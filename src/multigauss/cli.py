@@ -22,8 +22,9 @@ column in one C-level pass; any other column (labels, names, notes, flags)
 once per distinct value.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3
-non-converged series or a non-finite output (for ``sample lmg``, also a
-draw that is not positive).
+non-converged series, a constant out of reach (a fractional ``M`` above
+128), or a non-finite output (for ``sample lmg``, also a draw that is not
+positive).
 """
 
 from __future__ import annotations

@@ -12,6 +12,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+# `oracle._panel_nodes` takes its rules from here: loaded with the suites, and
+# so with the CLI, while the library's own import leaves it out
+import numpy.polynomial.legendre
 
 from .logmg import LogMultiGauss
 from .multivariate import BivariateParams, MvMultiGauss, bivariate_pdf
@@ -69,6 +72,17 @@ def series_reports() -> list[OracleReport]:
                       QuadratureSpec(-14.0, 14.0, abs_tol=1e-13, rel_tol=1e-12)) / _SQRT_2PI
         reports.append(OracleReport(
             f"series/c0(M={mval}) vs profile quadrature", c0, q, rel_tol=1e-8))
+    # the constructors' Mellin rule at fractional M against the series, its oracle
+    for mval in (0.025, 0.5, 2.5, 12.378584):
+        reports.append(OracleReport(
+            f"series/c0(M={mval}) constructor vs series", MultiGauss(0.0, 1.0, mval).c0,
+            series_s(0.5, mval).value, rel_tol=1e-13))
+    for mval in (0.5, 2.5):
+        for n in (2, 3):
+            reports.append(OracleReport(
+                f"series/norm_const(N={n}, M={mval}) constructor vs series",
+                MvMultiGauss(np.zeros(n), np.eye(n), mval).norm_const,
+                series_s(0.5 * n, mval).value, rel_tol=1e-13))
     # harmonic-number identity: S(1; M) = 1 + 1/2 + ... + 1/M for integer M
     for mval in (10, 40):
         harm = math.fsum(1.0 / k for k in range(1, mval + 1))

@@ -11,9 +11,17 @@
 * integer ``M = 1..54``: the finite sum at 60 digits over the exact
   binomials ``math.comb(M, m)``, for ``a = k/2``, ``k = 1..12``.
 
+The ``"fractional"`` block is what the truncated series is held to.  The
+``"constants"`` block is the same Mellin form at the orders ``a = k/2``,
+``k = 1..10``, of every normalization the families take from the Mellin
+rule (c0, the mv norm up to ``N = 10``, the bivariate norm), at the
+fractional shapes of `CONSTANT_SHAPES`: the small shapes, and the large
+ones where the series loses digits or raises.
+
 The script checks itself before it writes: ``S(1; M)`` is ``psi(M + 1) +
 gamma`` (the digamma function and Euler's constant) at every fractional
-shape, and the harmonic number ``H_M`` at every integer one.
+shape, with ``M + 1`` formed in mpmath (in floats it would round away
+``M = 1e-9``), and the harmonic number ``H_M`` at every integer one.
 `tests/test_series.py` reads the JSON; mpmath is not needed at test time.
 """
 
@@ -30,6 +38,9 @@ FRACTIONAL_DPS = 40
 INTEGER_DPS = 60
 FRACTIONAL_SHAPES = (1e-3, 0.025, 0.5, 2.5, 7.3, 12.378584)
 ORDERS = (0.5, 1.0, 1.5, 2.5)
+CONSTANT_SHAPES = (1e-9, 1e-6, 1e-3, 0.025, 0.5, 2.5, 7.3, 12.378584,
+                   20.5, 40.5, 46.5, 60.5, 100.5, 127.5)
+CONSTANT_ORDERS = tuple(k / 2 for k in range(1, 11))
 INTEGER_SHAPES = range(1, 55)
 HALF_ORDERS = range(1, 13)  # a = k / 2
 
@@ -47,14 +58,21 @@ def finite_sum(k: int, m: int) -> mp.mpf:
     return mp.fsum((-1) ** (j - 1) * math.comb(m, j) * mp.power(j, -a) for j in range(1, m + 1))
 
 
-def main() -> None:
-    fractional = {}
+def mellin_values(shapes, orders) -> dict:
+    """``{repr(M): [S(a; M) for a in orders]}``, each checked at ``a = 1``."""
+    values = {}
     with mp.workdps(FRACTIONAL_DPS):
-        for m in FRACTIONAL_SHAPES:
-            refs = [mellin(a, m) for a in ORDERS]
+        for m in shapes:
+            refs = [mellin(a, m) for a in orders]
             check = mp.digamma(mp.mpf(m) + 1) + mp.euler
-            assert abs(refs[ORDERS.index(1.0)] / check - 1) < mp.mpf(10) ** -30, m
-            fractional[repr(m)] = [float(r) for r in refs]
+            assert abs(refs[orders.index(1.0)] / check - 1) < mp.mpf(10) ** -30, m
+            values[repr(m)] = [float(r) for r in refs]
+    return values
+
+
+def main() -> None:
+    fractional = mellin_values(FRACTIONAL_SHAPES, ORDERS)
+    constants = mellin_values(CONSTANT_SHAPES, CONSTANT_ORDERS)
     integer = {}
     with mp.workdps(INTEGER_DPS):
         for m in INTEGER_SHAPES:
@@ -63,7 +81,8 @@ def main() -> None:
             assert abs(refs[1] - mp.mpf(harmonic.numerator) / harmonic.denominator) < mp.mpf(10) ** -40
             integer[str(m)] = [float(r) for r in refs]
     doc = {"fractional": {"dps": FRACTIONAL_DPS, "orders": list(ORDERS), "values": fractional},
-           "integer": {"dps": INTEGER_DPS, "k": list(HALF_ORDERS), "values": integer}}
+           "integer": {"dps": INTEGER_DPS, "k": list(HALF_ORDERS), "values": integer},
+           "constants": {"dps": FRACTIONAL_DPS, "orders": list(CONSTANT_ORDERS), "values": constants}}
     with open(OUT, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

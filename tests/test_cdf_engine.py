@@ -1,12 +1,13 @@
 """The CDF engine: one cached panel table of the profile integral for every M.
 
 References are mpmath quadratures of the profile ``1 - (1 - e^-w)^M``,
-written out here and computed afresh in each run.
+written by ``tests/cdf_reference.py`` into ``tests/cdf_reference.json``.
 """
 
+import json
 import math
+import os
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,61 +16,31 @@ from multigauss import LogMultiGauss, MultiGauss
 
 SHAPES = (1, 2, 10, 40, 54, 0.025, 0.5, 2.5, 12.3)
 #: Shapes so small that the profile is ~ M |log(1 - e^-w)|: ``(1 - e^-w)^M``
-#: is within ~M of 1, so the reference takes 40 digits instead of 20.
+#: is within ~M of 1, so their reference takes 40 digits instead of 20.
 TINY_SHAPES = (1e-9, 1e-6)
 DISTANCES = (0.1, 0.3 - 1e-9, 0.3 + 1e-9, 1.0, 3.0, 8.0, 20.0, 35.0)
 
 
-def _profile(w, m):
-    """``1 - (1 - e^-w)^M`` with full relative precision in the tail."""
-    if w < 1:
-        return 1 - (-mp.expm1(-w)) ** m  # expm1 keeps the cusp at w -> 0
-    return -mp.expm1(m * mp.log1p(-mp.exp(-w)))
-
-
-def _tail_integral(w0, m):
-    """Integral of the profile over ``|u| >= sqrt(2 w0)``, taken in ``w = u^2/2``.
-
-    In ``w`` the tail decays like ``e^-w``.  The integrand is scaled by
-    ``e^w0`` because mpmath stops refining once successive estimates agree
-    to an absolute ``eps``.
-    """
-    scale = mp.exp(w0)
-    f = lambda t: _profile(w0 + t, m) * scale / mp.sqrt(2 * (w0 + t))
-    return mp.quad(f, [0, 1, 4, 16, 64, mp.inf]) / scale
-
-
-def _lower_tails(mval, distances):
-    """``P(U <= -d)`` for each distance ``d``.
-
-    Below ``|u| = 1`` the profile is integrated in ``u`` itself, where the
-    integrand stays bounded at the mode.
-    """
-    with mp.workdps(40 if mval in TINY_SHAPES else 20):
-        m = mp.mpf(mval)
-        beyond_one = _tail_integral(mp.mpf(0.5), m)
-
-        def tail(d):
-            if d >= 1.0:
-                return _tail_integral(mp.mpf(d) ** 2 / 2, m)
-            pts = [d] + ([0.3] if d < 0.3 else []) + [1]
-            return mp.quad(lambda u: _profile(u * u / 2, m), pts) + beyond_one
-
-        total = tail(0.0)
-        return {d: tail(d) / (2 * total) for d in distances}
+@pytest.fixture(scope="module")
+def cdf_refs():
+    """``{repr(M): {"lower": [P(U <= -d)], "upper": [P(U <= d)]}}`` over `DISTANCES`."""
+    with open(os.path.join(os.path.dirname(__file__), "cdf_reference.json"),
+              encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert doc["distances"] == list(DISTANCES)
+    return doc["values"]
 
 
 @pytest.mark.parametrize("mval", SHAPES + TINY_SHAPES)
-def test_cdf_matches_mpmath(mval):
+def test_cdf_matches_mpmath(cdf_refs, mval):
     d = MultiGauss(0.0, 1.0, mval)
-    ref = _lower_tails(mval, DISTANCES)
+    ref = cdf_refs[repr(mval)]
     au = np.array(DISTANCES)
     lower, upper = d.cdf(-au), d.cdf(au)
-    for a, lo, up in zip(DISTANCES, lower, upper):
-        want = ref[a]
-        assert abs(lo - float(want)) <= 1e-14, (mval, a)
-        assert abs(up - float(1 - want)) <= 1e-14, (mval, a)
-        assert abs(lo - float(want)) <= 1e-12 * float(want), (mval, a)
+    for a, lo, up, want, want_up in zip(DISTANCES, lower, upper, ref["lower"], ref["upper"]):
+        assert abs(lo - want) <= 1e-14, (mval, a)
+        assert abs(up - want_up) <= 1e-14, (mval, a)
+        assert abs(lo - want) <= 1e-12 * want, (mval, a)
 
 
 @pytest.mark.parametrize("mval", SHAPES)

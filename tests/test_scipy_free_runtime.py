@@ -216,3 +216,14 @@ def test_import_leaves_out_the_heavy_scipy_modules(module, calls):
     code = (f"import sys, {module}\n{calls}\n"
             f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
     assert run_fresh(code).strip() == ""
+
+
+def test_gauss_legendre_rules_leave_out_numpy_polynomial():
+    # the rules are numpy's, written out: the library's calls load no numpy.polynomial
+    for x, w, n in ((univariate._GL_NODES, univariate._GL_WEIGHTS, 16),
+                    (univariate._STEP_NODES, univariate._STEP_WEIGHTS, 4)):
+        want_x, want_w = np.polynomial.legendre.leggauss(n)
+        np.testing.assert_array_max_ulp(x, want_x, maxulp=1)
+        np.testing.assert_array_max_ulp(w, want_w, maxulp=1)
+    code = f"import sys, multigauss\n{CALLS}\nprint('numpy.polynomial' in sys.modules)"
+    assert run_fresh(code).strip() == "False"

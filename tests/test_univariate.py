@@ -8,6 +8,7 @@ import pytest
 
 from multigauss import (
     MultiGauss,
+    MvMultiGauss,
     SeriesNotConverged,
     SeriesResult,
     TruncationFlag,
@@ -59,8 +60,9 @@ class TestConstruction:
             return SeriesResult(1.2, 5, 1.0, TruncationFlag.CAP_HIT)
 
         monkeypatch.setattr(univariate, "series_s", cap_hit)
-        with pytest.raises(SeriesNotConverged, match="S\\(1/2\\) did not converge"):
-            MultiGauss(0, 1, 0.5)
+        # a fractional shape takes the series only above order 5 (N > 10)
+        with pytest.raises(SeriesNotConverged, match="S\\(6; M\\) did not converge"):
+            MvMultiGauss(np.zeros(12), np.eye(12), 0.5)
 
     @pytest.mark.parametrize("mval", [0.025, 0.5, 2.5, 10])
     def test_moment_ratios_are_computed_on_first_use(self, mval):
