@@ -35,8 +35,8 @@ import numpy as np
 from dataclasses import dataclass
 
 from .series import ShapeParam
-from .univariate import (_LOG_TAIL_SWITCH, _CdfTable, _RadialInverse, _gaussian, _normalization,
-                         _profile_tail_series, _radial_draw, mg_profile)
+from .univariate import (_CdfTable, _RadialInverse, _gaussian, _log_profile, _normalization,
+                         _radial_draw, mg_profile)
 
 __all__ = ["MvMultiGauss", "BivariateParams", "bivariate_pdf"]
 
@@ -252,16 +252,11 @@ class MvMultiGauss:
 
         ``log f(Q/2)`` of the closed form less the log normalizer ``log
         S(N/2; M) + (N/2) log 2 pi + log det(Sigma)/2``, so it is finite
-        wherever ``Q`` is, in every dimension.  Beyond `_LOG_TAIL_SWITCH`,
-        where ``f`` leaves the normal float range, ``log f = log h - w`` with
-        the scaled profile ``h = e^w f = M``, as in `MultiGauss.logpdf`.
+        wherever ``Q`` is, in every dimension: `_log_profile`, ``log M - w``
+        where ``f`` leaves the normal float range, as in `MultiGauss.logpdf`.
         """
         q = self.mahalanobis_sq(x)
-        w = np.atleast_1d(0.5 * np.asarray(q))
-        with np.errstate(divide="ignore"):  # the profile underflows to 0: -inf
-            out = np.log(mg_profile(w, self._shape))
-        far = w > _LOG_TAIL_SWITCH
-        out[far] = np.log(_profile_tail_series(w[far], self._shape)) - w[far]
+        out = _log_profile(np.atleast_1d(0.5 * np.asarray(q)), self._shape)
         out -= self._log_norm
         return float(out[0]) if np.ndim(q) == 0 else out
 

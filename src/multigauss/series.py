@@ -1,7 +1,7 @@
 """Alternating binomial series engine with exact or correctly rounded summation.
 
-Every normalization constant and moment coefficient in this package is a sum
-of the form
+The paper writes every normalization constant and moment coefficient as a
+sum of the form
 
     S(alpha; M) = sum_{m >= 1} C(M, m) (-1)^(m-1) m^(-alpha),
 
@@ -33,10 +33,11 @@ hazards live here:
   this module: direct terms, then the Euler-Maclaurin formula, so nothing
   here needs more than numpy.  The terms are formed in numpy, a block of up
   to 2048 at a time, and the kept terms and the tail are summed with the
-  correctly rounded ``math.fsum``.  A long series (1024 terms or more) is
-  first cut by error-free vector extraction (`_exact_parts`) into a few
-  floats with the same exact sum, so ``fsum`` of those gives the very same
-  value in a few numpy passes.
+  correctly rounded ``math.fsum``.
+
+The constructors take the integer sums from here, and the fractional ones
+above order 5 (``N > 10``); the Mellin rule of `multigauss.univariate` gives
+the rest, and `multigauss.verify` checks it against this series.
 
 The condition number ``sum |t_m| / |sum t_m|`` of every evaluation is
 reported so callers can judge how many digits survived the cancellation.
@@ -441,66 +442,9 @@ def _series_integer(alpha: float, shape: ShapeParam) -> SeriesResult:
     return SeriesResult(value, mi, cond, TruncationFlag.EXACT)
 
 
-#: Terms the fractional series forms per numpy pass after a first block
-#: sized by `_first_block`.  Even, like the first, so every block starts at
-#: an odd ``m``; the default cap of 2000 terms is at most two blocks.
+#: Terms the fractional series forms per numpy pass.  Even, so every block
+#: starts at an odd ``m``; the default cap of 2000 terms is one block.
 _SERIES_BLOCK = 2048
-
-
-def _first_block(alpha: float, v: float, policy: TruncationPolicy) -> int:
-    """Terms of the fractional series' first block: even, at most `_SERIES_BLOCK`.
-
-    Past ``m ~ M`` the terms decay like ``m^(-M-1-alpha) / |Gamma(-M)|``, so
-    they fall below ``eps_abs`` near ``m = (eps_abs |Gamma(-M)|)^(-1/(M+1+alpha))``.
-    The block holds twice that plus ``M + 16``, and at least ``min_terms``:
-    where the terms decay fast the series stops inside it, and otherwise the
-    next block continues the same product.
-    """
-    decay = v + 1.0 + alpha
-    if policy.eps_abs <= 0.0 or decay <= 0.0:
-        return _SERIES_BLOCK
-    log_stop = -(math.log(policy.eps_abs) + math.lgamma(-v)) / decay
-    if log_stop > math.log(_SERIES_BLOCK):
-        return _SERIES_BLOCK
-    size = max(2.0 * math.exp(log_stop) + v + 16.0, policy.min_terms)
-    return min(_SERIES_BLOCK, 2 * math.ceil(size / 2.0))
-
-
-#: Terms from which the fractional series is summed by `_exact_parts`: below
-#: it, ``math.fsum`` of the term list costs no more than the vector passes.
-_EXTRACT_MIN = 1024
-
-
-def _exact_parts(p: np.ndarray) -> list[float]:
-    """A few floats whose exact sum is the exact sum of the finite floats ``p``.
-
-    Rump, Ogita & Oishi's error-free ``ExtractVector`` (*Accurate
-    floating-point summation, Part I*, SIAM J. Sci. Comput. 31(1), 2008),
-    repeated until nothing is left.  With ``sigma`` a power of two of at
-    least ``2^(ceil(log2 n) + 1)`` times ``2^ceil(log2 max|p|)``, the high
-    parts ``q = (sigma + p) - sigma`` are multiples of ``2^-53 sigma`` of
-    size at most ``sigma / 2n``: their sum is exact in any order, and so is
-    the remainder ``p - q``, which the next pass extracts in turn.  A
-    remainder whose ``sigma`` would leave the normal float range is
-    returned as it is.  ``math.fsum`` of the parts is thus the correctly
-    rounded sum of ``p``, the very value of ``math.fsum(p.tolist())``.
-    """
-    shift = (p.size - 1).bit_length() + 1
-    p = p.copy()
-    q = np.empty_like(p)
-    parts = []
-    while True:
-        top = float(np.abs(p, out=q).max())
-        if top == 0.0:
-            return parts
-        e = math.frexp(top)[1] + shift  # 2^frexp(top)[1] >= 2^ceil(log2 top)
-        if not -1021 <= e <= 1023:
-            return parts + p.tolist()
-        sigma = math.ldexp(1.0, e)
-        np.add(p, sigma, out=q)
-        q -= sigma
-        p -= q
-        parts.append(float(q.sum()))
 
 
 def _series_fractional(alpha: float, shape: ShapeParam, policy: TruncationPolicy) -> SeriesResult:
@@ -509,10 +453,10 @@ def _series_fractional(alpha: float, shape: ShapeParam, policy: TruncationPolicy
     b = 1.0
     terms_used = policy.max_terms
     met_in_loop = False
-    start, size = 1, _first_block(alpha, v, policy)
+    start = 1
     with np.errstate(all="ignore"):
         while start <= policy.max_terms:
-            m = np.arange(start, min(start + size, policy.max_terms + 1), dtype=float)
+            m = np.arange(start, min(start + _SERIES_BLOCK, policy.max_terms + 1), dtype=float)
             # the product of the ratios (v - m + 1)/m, continued from the last
             # block's b: the same bits as one product over every block
             coeffs = np.cumprod(np.concatenate(([b], (v - m + 1.0) / m)))[1:]
@@ -531,13 +475,12 @@ def _series_fractional(alpha: float, shape: ShapeParam, policy: TruncationPolicy
             if not math.isfinite(b):
                 # every later term is non-finite too, so none can meet the tolerance
                 break
-            start, size = start + size, _SERIES_BLOCK
+            start += _SERIES_BLOCK
     terms = np.concatenate(blocks)
     tail, residual = series_tail(alpha, shape, terms_used)
     if np.isfinite(terms).all():
         try:
-            parts = _exact_parts(terms) if terms.size >= _EXTRACT_MIN else terms.tolist()
-            value = math.fsum(parts + [tail])
+            value = math.fsum(terms.tolist() + [tail])
         except OverflowError:  # a partial sum beyond the float range
             value = math.nan
         # sum |t_m| only sets the condition number, so a plain sum serves, and

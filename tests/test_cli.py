@@ -245,7 +245,7 @@ class TestBivariateScales:
 
 class TestNormalizationExitCodes:
     def test_underflowing_reflection_constant(self, capsys):
-        # math.gamma(1 - M) underflows at M = 200.3
+        # a fractional M above 128 is beyond the Mellin rule's reach: refused
         code, _, err = run(capsys, ["eval", "pdf", "mg", "--m", "200.3"])
         assert code == 3
         assert json.loads(err.splitlines()[0])["error"]["type"] == "series_not_converged"

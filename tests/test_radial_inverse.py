@@ -10,6 +10,7 @@ the CDF table: the exact Gaussian scale mixture of that range.
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -215,3 +216,23 @@ def test_radius_lookup_keeps_the_bits_of_a_binary_search(mval, dim):
     assert in_place.tobytes() == expected.tobytes()
     # a tail of 0 takes the grid's upper end, a tail of 1 its lower end
     assert got[-4] == inverse.radius(grid[-1:])[0] and got[-3] == inverse.radius(grid[:1])[0]
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3))
+def test_tiny_shapes_build_their_inverse_without_warnings(dim):
+    # from M ~ 1e-296 down the mode band's smallest masses underflow to
+    # repeated values, which must not become knots of zero spacing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(1, 308):
+            mval = 10.0 ** -k
+            if dim > 1:
+                points = MvMultiGauss(np.zeros(dim), np.eye(dim), mval).sample(
+                    200, np.random.default_rng(k))
+                assert np.isfinite(points).all(), mval
+                continue
+            d = MultiGauss(0.0, 1.0, mval)
+            x = d.sample(200, np.random.default_rng(k))
+            q = d.quantile(np.random.default_rng(k).random(200))
+            assert np.max(np.abs(x - q)) <= 1e-8, mval
+            assert np.max(np.abs(d.cdf(d.quantile(LEVELS[:41])) - LEVELS[:41])) <= 1e-12, mval
