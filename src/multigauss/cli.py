@@ -10,21 +10,22 @@ Subcommands:
   surfaces (5, 8)
 * ``verify``  - run the oracle verification suites and report pass/fail
 
-Every command builds one table, a NumPy record array with one field per
-output column, and writes it as CSV (header ``x,value,series``; 17
-significant digits; two-abscissa data uses ``x1,x2``) or JSON (array of row
-objects), with the bytes of ``csv.writer`` (float cells ``.17g``) or of
-``json.dumps``.  Each block of `_EMIT_BLOCK` (8,192) rows is one ``%`` of a
-row template.  A float column whose block holds at most half as many
-distinct bit patterns as rows (the abscissas of a surface) is formatted
-once per distinct value, the text mapped onto the rows; any other float
-column in one C-level pass; any other column (labels, names, notes, flags)
-once per distinct value.
+Every command builds one table, `_table`'s named columns: the arrays the
+command computed, uncopied, and the series label held once.  It is written
+as CSV (header ``x,value,series``; 17 significant digits; two-abscissa data
+uses ``x1,x2``) or JSON (array of row objects), with the bytes of
+``csv.writer`` (float cells ``.17g``) or of ``json.dumps``.  Each block of
+`_EMIT_BLOCK` (8,192) rows is one ``%`` of a row template.  A float column
+whose block holds at most half as many distinct bit patterns as rows (the
+abscissas of a surface) is formatted once per distinct value, the text
+mapped onto the rows; any other float column in one C-level pass; any other
+column (names, notes, flags, the two labels of ``eval cf``) once per
+distinct value; a scalar label once per block.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input, 3
-non-converged series, a constant out of reach (a fractional ``M`` above
-128), or a non-finite output (for ``sample lmg``, also a draw that is not
-positive).
+Exit codes: 0 success, 1 verification failure, 2 invalid input (among it a
+shape ``M`` below the smallest normal float), 3 non-converged series, a
+constant out of reach (a fractional ``M`` above 128), or a non-finite
+output (for ``sample lmg``, also a draw that is not positive).
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import sys
 from types import SimpleNamespace
 
 import numpy as np
-from numpy import rec
 from numpy.random import PCG64, Generator
 
 from .logmg import LogMultiGauss
@@ -67,13 +67,27 @@ _LABELS = {"mg": "M={m:g}", "lmg": "M={m:g}", "mv": "M={m:g} rho={rho:g}"}
 _MAX_ROWS = 10_000_000
 
 
-def _table(**columns) -> np.recarray:
-    """One output table: a field per keyword, in order, one row per grid point.
+class _Table:
+    """Named columns, in order, of ``len(table)`` rows (see `_table`)."""
 
-    A scalar column (the series label) is repeated on every row.
+    __slots__ = ("columns", "_rows")
+
+    def __init__(self, columns: dict):
+        self.columns = columns
+        self._rows = next((len(c) for c in columns.values() if c.ndim), 1)
+
+    def __len__(self) -> int:
+        return self._rows
+
+
+def _table(**columns) -> _Table:
+    """One output table: a column per keyword, in order, one row per grid point.
+
+    A 1-D column is held as ``np.asarray`` gives it, with no copy; a scalar
+    column (the series label) is held once, as a 0-d array, and stands for
+    every row.
     """
-    cols = np.broadcast_arrays(*(np.asarray(c) for c in columns.values()))
-    return rec.fromarrays(cols, names=list(columns))
+    return _Table({n: np.asarray(c) for n, c in columns.items()})
 
 
 #: Rows formatted and written at a time: the text of a large table (a
@@ -113,14 +127,15 @@ def _float_cells(col: np.ndarray, fmt: str) -> tuple:
     return _float_text(col.tolist(), fmt), "%s"
 
 
-def _emit(table: np.recarray, fmt: str, *, out_path: str | None) -> None:
+def _emit(table: _Table, fmt: str, *, out_path: str | None) -> None:
     """Write a table as CSV or JSON, one ``%`` of a row template per block.
 
-    The formatter is described in the module docstring.  ``out_path`` is
-    keyword-only so that wrappers (the perfbench tracer) find the output
-    file under that name.
+    Each block takes a slice of every 1-D column; a scalar column's cell is
+    made once per block.  The formatter is described in the module
+    docstring.  ``out_path`` is keyword-only so that wrappers (the perfbench
+    tracer) find the output file under that name.
     """
-    names, rows, cols = table.dtype.names, len(table), len(table.dtype)
+    names, rows, cols = list(table.columns), len(table), len(table.columns)
     if fmt == "json":
         row = "{" + ", ".join(f"{json.dumps(n)}: %s" for n in names) + "}"
         head, sep, tail, encode = "[", ", ", "]", json.dumps
@@ -134,21 +149,25 @@ def _emit(table: np.recarray, fmt: str, *, out_path: str | None) -> None:
           else contextlib.nullcontext(sys.stdout)) as fh:
         fh.write(head)
         for i in range(0, rows, _EMIT_BLOCK):
-            block = table[i:i + _EMIT_BLOCK]
-            flat = [None] * (len(block) * cols)
+            size = min(_EMIT_BLOCK, rows - i)
+            flat = [None] * (size * cols)
             fields = []
-            for j, n in enumerate(names):
-                if table.dtype[n].kind == "f":
-                    flat[j::cols], field = _float_cells(block[n], fmt)
+            for j, col in enumerate(table.columns.values()):
+                if col.ndim == 0:
+                    v = col.item()
+                    cell = _float_text([v], fmt)[0] if col.dtype.kind == "f" else encode(v)
+                    flat[j::cols], field = [cell] * size, "%s"
+                elif col.dtype.kind == "f":
+                    flat[j::cols], field = _float_cells(col[i:i + size], fmt)
                 else:
-                    values = block[n].tolist()
+                    values = col[i:i + size].tolist()
                     text = {v: encode(v) for v in set(values)}
                     flat[j::cols], field = map(text.__getitem__, values), "%s"
                 fields.append(field)
             if fmt == "csv":
                 row = ",".join(fields) + "\n"
             # each block's text is a temporary of one statement, gone before the next is made
-            fh.write(((sep if i else "") + sep.join([row] * len(block))) % tuple(flat))
+            fh.write(((sep if i else "") + sep.join([row] * size)) % tuple(flat))
         fh.write(tail)
 
 
@@ -162,7 +181,7 @@ def _error(kind: str, message: str, code: int) -> int:
     return code
 
 
-def _orders(args, f, label: str) -> np.recarray:
+def _orders(args, f, label: str) -> _Table:
     """``f(k)`` for the orders ``k = 1..--k`` of ``eval moments|cumulants``."""
     if args.k < 1:
         raise ValueError("--k must be a positive integer")
@@ -195,12 +214,12 @@ def _build(family: str, p):
     return MvMultiGauss(b.mean(), b.covariance(), p.m)
 
 
-def _curve(d, kind: str, xs: np.ndarray, label: str) -> np.recarray:
+def _curve(d, kind: str, xs: np.ndarray, label: str) -> _Table:
     """The pdf or cdf of ``d`` on the grid ``xs``, in one array call."""
     return _table(x=xs, value=d.pdf(xs) if kind == "pdf" else d.cdf(xs), series=label)
 
 
-def _surface(mv: MvMultiGauss, x1: np.ndarray, x2: np.ndarray, label: str) -> np.recarray:
+def _surface(mv: MvMultiGauss, x1: np.ndarray, x2: np.ndarray, label: str) -> _Table:
     """The bivariate pdf on the product grid ``x1 x x2`` (``x2`` varies fastest)."""
     g1, g2 = (g.ravel() for g in np.meshgrid(x1, x2, indexing="ij"))
     return _table(x1=g1, x2=g2, value=mv.pdf(np.stack([g1, g2], axis=1)), series=label)
@@ -216,7 +235,7 @@ def _make_rng(seed: int) -> Generator:
 # eval
 # ---------------------------------------------------------------------------
 
-def _eval_mg(args, d: MultiGauss, label: str) -> np.recarray:
+def _eval_mg(args, d: MultiGauss, label: str) -> _Table:
     kind = args.kind
     if kind in ("pdf", "cdf"):
         return _curve(d, kind, _grid(args, d.mu - 5 * d.sigma, d.mu + 5 * d.sigma), label)
@@ -240,7 +259,7 @@ def _eval_mg(args, d: MultiGauss, label: str) -> np.recarray:
     raise ValueError(f"kind {kind!r} is not available for family 'mg'")
 
 
-def _eval_lmg(args, d: LogMultiGauss, label: str) -> np.recarray:
+def _eval_lmg(args, d: LogMultiGauss, label: str) -> _Table:
     kind = args.kind
     base = d.base
     if kind in ("pdf", "cdf"):
@@ -254,7 +273,7 @@ def _eval_lmg(args, d: LogMultiGauss, label: str) -> np.recarray:
     )
 
 
-def _eval_mv(args, mv: MvMultiGauss, label: str) -> np.recarray:
+def _eval_mv(args, mv: MvMultiGauss, label: str) -> _Table:
     _check_rows(args.points ** 2, "--points squared")
     x1 = _grid(args, args.mu1 - 4 * args.sigma1, args.mu1 + 4 * args.sigma1)
     x2 = _axis(args.mu2 - 4 * args.sigma2, args.mu2 + 4 * args.sigma2, args.points)
@@ -274,17 +293,18 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _check_outputs(table: np.recarray, ok, what: str = "non-finite") -> None:
+def _check_outputs(table: _Table, ok, what: str = "non-finite") -> None:
     """Raise `SeriesNotConverged` (exit 3) at the first row with a float cell
-    that ``ok`` rejects, naming the row's cells."""
-    names = table.dtype.names
-    good = np.ones(table.size, dtype=bool)
-    for n in names:
-        if table.dtype[n].kind == "f":
-            good &= ok(table[n])
+    that ``ok`` rejects, naming the row's cells (Python scalars, in column
+    order)."""
+    good = np.ones(len(table), dtype=bool)
+    for col in table.columns.values():
+        if col.dtype.kind == "f":
+            good &= ok(col)
     if not good.all():
-        row = table[np.argmin(good)].tolist()
-        raise SeriesNotConverged(f"{what} output at {dict(zip(names, row))}")
+        i = np.argmin(good)
+        row = [(c[i] if c.ndim else c).item() for c in table.columns.values()]
+        raise SeriesNotConverged(f"{what} output at {dict(zip(table.columns, row))}")
 
 
 # ---------------------------------------------------------------------------

@@ -252,8 +252,9 @@ class MvMultiGauss:
 
         ``log f(Q/2)`` of the closed form less the log normalizer ``log
         S(N/2; M) + (N/2) log 2 pi + log det(Sigma)/2``, so it is finite
-        wherever ``Q`` is, in every dimension: `_log_profile`, ``log M - w``
-        where ``f`` leaves the normal float range, as in `MultiGauss.logpdf`.
+        wherever ``Q`` is, in every dimension: `_log_profile`, which keeps
+        its digits where ``f`` leaves the normal float range, as in
+        `MultiGauss.logpdf`.
         """
         q = self.mahalanobis_sq(x)
         out = _log_profile(np.atleast_1d(0.5 * np.asarray(q)), self._shape)

@@ -46,6 +46,7 @@ reported so callers can judge how many digits survived the cancellation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -105,8 +106,11 @@ class ShapeParam:
 
     def __post_init__(self):
         v = float(self.value)
-        if not math.isfinite(v) or v <= 0.0:
-            raise ValueError(f"shape parameter must be a positive finite real, got {self.value!r}")
+        # a subnormal M gives a subnormal constant, whose reciprocal overflows
+        if not sys.float_info.min <= v < math.inf:
+            raise ValueError("shape parameter must be a positive finite real of at least "
+                             f"{sys.float_info.min!r}, the smallest normal float; "
+                             f"got {self.value!r}")
         nearest = round(v)
         object.__setattr__(self, "value", v)
         object.__setattr__(

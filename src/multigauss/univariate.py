@@ -38,6 +38,7 @@ of the table (`_RadialInverse`) serves the quantile and, through
 from __future__ import annotations
 
 import math
+import sys
 from functools import cached_property
 
 import numpy as np
@@ -101,6 +102,10 @@ _CDF_BLOCK = 4096
 _LOG_TAIL_SWITCH = 700.0
 
 _LN2 = math.log(2.0)
+
+#: Log of the smallest normal float: where ``log M - w`` is below it the
+#: profile is subnormal or 0, and `_log_profile` leaves its float value.
+_LOG_TINY = math.log(sys.float_info.min)
 
 #: An MGF point ``a = |sigma t|`` sums the rule's nodes ``s <= a + 12``,
 #: rounded up to a multiple of 4: past ``a + 12`` both Gaussian factors are
@@ -183,15 +188,20 @@ def _profile_tail_series(w, shape: ShapeParam) -> np.ndarray:
 def _log_profile(w: np.ndarray, shape: ShapeParam) -> np.ndarray:
     """``log f(w)`` for an array ``w >= 0``.
 
-    Beyond `_LOG_TAIL_SWITCH`, where ``f`` leaves the normal float range,
-    ``log f = log h - w`` with the scaled profile ``h = e^w f = M`` of
-    `_profile_tail_series`; elsewhere the log of `mg_profile`.
+    The log of `mg_profile` wherever ``f`` is a normal float.  Where ``M
+    e^-w`` falls below the smallest normal float (before `_LOG_TAIL_SWITCH`
+    only for ``M < e^-8.4``), ``f = -M log(1 - e^-w)`` to double precision,
+    so ``log f = log M + log(-log(1 - e^-w))`` (`_log_gap`); beyond the
+    switch, where ``e^-w`` itself leaves the normal range, ``log M - w``.
     """
     with np.errstate(divide="ignore"):  # the profile underflows to 0: -inf
         out = np.log(mg_profile(w, shape))
-    far = w > _LOG_TAIL_SWITCH
+    far = w > min(_LOG_TAIL_SWITCH, math.log(shape.value) - _LOG_TINY)
     if far.any():
-        out[far] = np.log(_profile_tail_series(w[far], shape)) - w[far]
+        wf = w[far]
+        with np.errstate(divide="ignore"):  # -log(1 - e^-w) is 0 from w ~ 745
+            log_scaled = np.where(wf > _LOG_TAIL_SWITCH, -wf, np.log(-_log_gap(wf)))
+        out[far] = np.log(shape.value) + log_scaled  # log M + log(f / M)
     return out
 
 
@@ -830,8 +840,9 @@ class MultiGauss:
         """Log-density, finite for every finite ``x``.
 
         `_log_profile` at ``w = (x - mu)^2 / (2 sigma^2)`` (``log M - w``
-        beyond ~37 sigma, where ``f`` leaves the normal float range), less
-        the log of the normalization.
+        beyond ~37 sigma, and ``log M + log(-log(1 - e^-w))`` where ``f``
+        underflows short of that at a tiny ``M``), less the log of the
+        normalization.
         """
         x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore"):  # past the float range w is inf: -inf

@@ -325,18 +325,43 @@ class TestRowCap:
 
 
 class TestDensityOverflow:
-    @pytest.mark.parametrize("flag", [["--m", "1e-320"], ["--sigma", "1e-310"]])
-    def test_infinite_density_exits_3_without_a_warning(self, capsys, flag):
+    def test_infinite_density_exits_3_without_a_warning(self, capsys):
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run(capsys, ["eval", "pdf", "mg", *flag, "--points", "5"])
+            code, out, err = run(capsys, ["eval", "pdf", "mg", "--sigma", "1e-310",
+                                          "--points", "5"])
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1
         payload = json.loads(err)
         assert payload["error"]["type"] == "series_not_converged"
         assert "non-finite output" in payload["error"]["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "pdf", "mg", "--m", "1e-320", "--points", "5"],
+        ["eval", "cdf", "mg", "--m", "1e-310"],
+        ["eval", "pdf", "mg", "--m", "5e-324"],
+        ["eval", "pdf", "mv", "--m", "1e-310", "--points", "5"],
+        ["sample", "lmg", "--m", "1e-310", "--n", "3", "--seed", "1"],
+    ])
+    def test_subnormal_shape_exits_2_naming_the_bound(self, capsys, argv):
+        """A subnormal ``M`` has a subnormal constant, whose reciprocal overflows."""
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"]["type"] == "invalid_input"
+        assert "at least 2.2250738585072014e-308, the smallest normal float" in \
+            payload["error"]["message"]
+
+    def test_smallest_normal_shape_runs(self, capsys):
+        code, out, _ = run(capsys, ["eval", "cdf", "mg", "--m", "2.2250738585072014e-308",
+                                    "--points", "5"])
+        assert code == 0 and len(out.splitlines()) == 6
 
     @pytest.mark.parametrize("argv,bad", [
         (["sample", "lmg", "--m", "2", "--sigma", "1e3", "--n", "3", "--seed", "1"],
@@ -354,7 +379,9 @@ class TestDensityOverflow:
         assert len(err.splitlines()) == 1
         payload = json.loads(err)
         assert payload["error"]["type"] == "series_not_converged"
-        assert payload["error"]["message"].startswith(bad + " output at {'x': ")
+        # the first bad row's cells as Python scalars, in column order
+        assert payload["error"]["message"] == (
+            bad + " output at {'x': 2.0, 'value': inf, 'series': 'M=2'}")
 
     def test_library_density_below_the_float_range_is_silent(self):
         import warnings
@@ -382,9 +409,9 @@ class TestBlockedEmit:
 
         from multigauss import cli
 
-        table = cli._table(x=np.linspace(-1.0, 1.0, rows), value=np.arange(rows) / 7.0,
-                           series="M=2.5")
-        cells = [(float(x), float(v), s) for x, v, s in table.tolist()]
+        xs, values = np.linspace(-1.0, 1.0, rows), np.arange(rows) / 7.0
+        table = cli._table(x=xs, value=values, series="M=2.5")
+        cells = [(x, v, "M=2.5") for x, v in zip(xs.tolist(), values.tolist())]
         if fmt == "json":
             want = json.dumps([dict(zip(("x", "value", "series"), c)) for c in cells])
         else:
@@ -404,25 +431,58 @@ class TestBlockedEmit:
 import numpy as np
 from multigauss import cli
 rows = cli._EMIT_BLOCK = 16_384
-table = cli._table(x=np.arange(1.0, 8 * rows + 1), value=np.random.default_rng(1).random(8 * rows),
-                   series="M=2.5")
-for part in (table[:rows], table):
-    cli._emit(part, {fmt!r}, out_path={str(tmp_path / "out")!r})
+xs, values = np.arange(1.0, 8 * rows + 1), np.random.default_rng(1).random(8 * rows)
+for part in (slice(rows), slice(None)):
+    cli._emit(cli._table(x=xs[part], value=values[part], series="M=2.5"), {fmt!r},
+              out_path={str(tmp_path / "out")!r})
     mark()
 """)
         assert peaks[1] - peaks[0] < 8 * 1024
 
     def test_surface_figure_peaks_little_above_the_import(self, tmp_path):
-        """``figure 5 --format json`` (4 files of 40,401 rows) peaks at most 14 MB
-        above the imported CLI; blocks of 65,536 rows, each column's text made
-        whole, peaked ~28 MB above it."""
+        """``figure 5 --format json`` (4 files of 40,401 rows) peaks at most 9 MB
+        above the imported CLI (~6 MB measured); a record-array copy of each
+        table peaked ~12 MB above it, and blocks of 65,536 rows, each column's
+        text made whole, ~28 MB."""
         peaks = fresh_peaks_kb(f"""
 from multigauss import cli
 mark()
 assert cli.main(["figure", "5", "--format", "json", "--out-dir", {str(tmp_path)!r}]) == 0
 mark()
 """)
-        assert peaks[1] - peaks[0] <= 14 * 1024
+        assert peaks[1] - peaks[0] <= 9 * 1024
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("block", [2, 3, 8])
+    def test_scalar_columns_write_as_their_broadcast(self, capsys, monkeypatch, fmt, block):
+        """A scalar column, held once, writes the bytes of the same value on every row."""
+        import numpy as np
+
+        from multigauss import cli
+
+        monkeypatch.setattr(cli, "_EMIT_BLOCK", block)
+        xs = np.linspace(-1.0, 1.0, 7)
+        texts = []
+        for scale, flag, label in ((0.1, True, 'say "a, b"'),
+                                   (np.full(7, 0.1), np.full(7, True), np.full(7, 'say "a, b"'))):
+            cli._emit(cli._table(x=xs, scale=scale, flag=flag, series=label), fmt, out_path=None)
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and texts[0].count("0.1") == 7
+
+    def test_table_holds_its_columns_uncopied(self):
+        """A float column is the caller's array; the label is one 0-d value."""
+        import numpy as np
+
+        from multigauss import cli
+
+        xs, values = np.linspace(-1.0, 1.0, 5), np.arange(5) / 7.0
+        draws = np.arange(10.0).reshape(5, 2)
+        table = cli._table(x=xs, value=values, x2=draws[:, 1], series="M=2.5")
+        assert len(table) == 5 and list(table.columns) == ["x", "value", "x2", "series"]
+        assert table.columns["x"] is xs and table.columns["value"] is values
+        assert np.shares_memory(table.columns["x2"], draws)
+        label = table.columns["series"]
+        assert label.shape == () and label.item() == "M=2.5"
 
 
 def fresh_peaks_kb(code: str) -> list:

@@ -459,3 +459,24 @@ class TestLogDensity:
             out = mv.logpdf(far)
         assert np.isfinite(out[:2]).all() and out[1] < out[0] < -1e3
         assert out[2] == -np.inf and math.isnan(out[3])
+
+    @pytest.mark.parametrize("mval", [1e-300, 1e-200, 1e-100])
+    def test_tiny_shapes_keep_the_limit_where_the_profile_underflows(self, mval):
+        """At ``M -> 0`` the density is ``-log(1 - e^-Q/2)`` over ``zeta(N/2 + 1)
+        (2 pi)^(N/2) det^(1/2)``; ``f`` underflows from ``Q/2 ~ 708 + log M``."""
+        mp = pytest.importorskip("mpmath")
+        cov = np.array([[1.0, 0.3, 0.0], [0.3, 2.0, -0.4], [0.0, -0.4, 0.7]])
+        mv = MvMultiGauss(np.zeros(3), cov, mval)
+        pts = np.array([[0.5, 0.0, 0.0], [20.0, 0.0, 0.0], [0.0, 30.0, 1.0], [37.0, 0.0, 0.0],
+                        [38.0, 1.0, 0.0], [60.0, 0.0, 0.0]])
+        q = mv.mahalanobis_sq(pts)
+        with mp.workdps(50):
+            log_norm = mp.log(mp.zeta(2.5) * (2 * mp.pi) ** 1.5
+                              * mp.sqrt(mp.mpf(float(np.linalg.det(cov)))))
+            want = [mp.log(-mp.log1p(-mp.exp(-mp.mpf(v) / 2))) - log_norm for v in q]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mv.logpdf(pts)
+        # log M and the log normalizer are near -700, and each rounds there
+        np.testing.assert_allclose(got, [float(v) for v in want], rtol=0.0,
+                                   atol=2 * math.ulp(700.0))

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import sys
 import time
 import warnings
 
@@ -39,6 +40,13 @@ class TestShapeParam:
         for bad in (0.0, -1.0, -0.5, math.nan, math.inf):
             with pytest.raises(ValueError):
                 ShapeParam(bad)
+
+    def test_rejects_subnormal_shapes_naming_the_bound(self):
+        tiny = sys.float_info.min
+        for bad in (5e-324, 1e-310, math.nextafter(tiny, 0.0)):
+            with pytest.raises(ValueError, match="at least 2.2250738585072014e-308"):
+                ShapeParam(bad)
+        assert ShapeParam(tiny).value == tiny
 
     def test_integer_detection(self):
         assert ShapeParam(2.0).is_integer

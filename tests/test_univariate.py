@@ -455,3 +455,21 @@ class TestClosedFormPrecision:
             log_norm = mp.log(mp.mpf(d.c0) * mp.sqrt(2 * mp.pi))
             want = [mp.log(self.profile(x * x / 2, m)) - log_norm for x in xs]
         assert self.rel_err(d.logpdf(xs), want) <= 1e-15
+
+    @pytest.mark.parametrize("m", [1e-300, 1e-200, 1e-100])
+    def test_logpdf_at_tiny_shapes_keeps_the_limit(self, m):
+        """Where ``M e^-w`` underflows short of ``w = 700``, ``log f`` is ``log M +
+        log(-log(1 - e^-w))``: the density keeps its ``M -> 0`` limit
+        ``-log(1 - e^-w) / (sqrt(2 pi) zeta(3/2))``."""
+        mp = pytest.importorskip("mpmath")
+        xs = np.array([0.5, 20.0, 30.0, 37.0, 37.5, 38.0, 40.0, 60.0])
+        with mp.workdps(50):
+            log_norm = mp.log(mp.sqrt(2 * mp.pi) * mp.zeta(1.5))
+            want = [mp.log(-mp.log1p(-mp.exp(-mp.mpf(x) ** 2 / 2))) - log_norm for x in xs]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = MultiGauss(0.0, 1.0, m).logpdf(xs)
+        # log M and the log normalizer are near -700, and each rounds there
+        np.testing.assert_allclose(got, [float(v) for v in want], rtol=0.0,
+                                   atol=2 * math.ulp(700.0))
+        assert got[1:4] == pytest.approx([-201.879198, -451.879198, -686.379198], rel=1e-8)
