@@ -422,6 +422,22 @@ def cmd_verify(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _count(text: str) -> int:
+    """A row count (``--n``, ``--points``): an integer, also one written as a
+    float (``1e5``, ``100000.0``).  Any other text is an argparse error."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value.is_integer():  # nor are NaN and +-inf
+        raise argparse.ArgumentTypeError(f"not an integer count: {text!r}")
+    return int(value)
+
+
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
     for name, default in _PARAM_DEFAULTS.items():
         p.add_argument(f"--{name}", type=float, default=default, help=_PARAM_HELP.get(name))
@@ -443,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--from", dest="from_", type=float, default=None,
                         help="grid start (default depends on kind)")
     p_eval.add_argument("--to", type=float, default=None, help="grid end")
-    p_eval.add_argument("--points", type=int, default=801, help="grid size")
+    p_eval.add_argument("--points", type=_count, default=801,
+                        help="grid size (an integer, also as a float: 1e3)")
     p_eval.add_argument("--k", type=int, default=4,
                         help="highest moment/cumulant order")
     p_eval.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -452,7 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample", help="draw reproducible variates")
     p_sample.add_argument("family", choices=["mg", "lmg", "mv"])
     _add_param_flags(p_sample)
-    p_sample.add_argument("--n", type=int, required=True, help="number of variates")
+    p_sample.add_argument("--n", type=_count, required=True,
+                          help="number of variates (an integer, also as a float: 1e5)")
     p_sample.add_argument("--seed", type=int, required=True,
                           help="64-bit seed of the PCG64 generator")
     p_sample.add_argument("--format", choices=["csv", "json"], default="csv")

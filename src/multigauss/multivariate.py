@@ -309,13 +309,27 @@ class MvMultiGauss:
         normals gives the directions, then one block of uniforms the radii;
         at ``N = 1`` the uniforms alone give sign and radius, as in
         `MultiGauss.sample`, whose stream a one-dimensional law shares.
-        At ``M = 1`` the output is exactly the Gaussian stream
-        ``mean + Z L^T``.  Identical generator state yields identical output.
+
+        The affine map runs coordinate-major: one matrix product ``L Z^T``
+        (BLAS) into an ``(N, n)`` block, then each of its ``N`` contiguous
+        rows is scaled by the factors ``R/|Z|`` and shifted by its mean.
+        The result is that block's transpose, an ``(n, N)`` view whose
+        columns are contiguous (Fortran order); ``np.ascontiguousarray``
+        gives C order at the cost of a copy.  At ``M = 1`` the output is
+        exactly the Gaussian stream ``mean + Z L^T`` (bit for bit at
+        ``N <= 10``, which the tests pin; from ``N = 12`` OpenBLAS rounds
+        some batch sizes, such as ``n = 500``, differently, by ulps).  At
+        other shapes the factor is applied after the product rather than
+        before it, which moves a draw from the former ``(s Z) L^T`` by
+        rounding only.  Identical generator state yields identical output.
         """
         inverse = None if _gaussian(self._shape) else self._inverse
-        x = _radial_draw(n, rng, self.dim, inverse) @ self._chol.T
-        x += self._mean
-        return x
+        z, factor = _radial_draw(n, rng, self.dim, inverse)
+        xt = self._chol @ z.T
+        if factor is not None:
+            xt *= factor
+        xt += self._mean[:, None]
+        return xt.T
 
     @cached_property
     def _radial_table(self) -> _CdfTable:

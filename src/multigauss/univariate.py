@@ -32,7 +32,11 @@ underflows; all are vectorized over any array of points.
 The law is the case N = 1 of the elliptical family, ``X = mu + sigma sign
 R`` with ``R = |U|`` (Cambanis, Huang & Simons 1981).  One radial inverse
 of the table (`_RadialInverse`) serves the quantile and, through
-`_radial_draw`, the samplers of both families.  No scipy is needed.
+`_radial_draw`, the samplers of both families.  In more dimensions the
+draw hands back the normals ``Z`` and the factors ``R/|Z|`` unmultiplied:
+`MvMultiGauss.sample` forms ``mean + L (R Z/|Z|)`` coordinate-major, one
+matrix product ``L Z^T`` and then contiguous row updates.  No scipy is
+needed.
 """
 
 from __future__ import annotations
@@ -698,8 +702,9 @@ class _RadialInverse:
         return out
 
 
-def _radial_draw(n: int, rng, dim: int, inverse: _RadialInverse | None) -> np.ndarray:
-    """``n`` standardized points ``R D`` of a radial law, shape ``(n, dim)``.
+def _radial_draw(n: int, rng, dim: int,
+                 inverse: _RadialInverse | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """``n`` standardized points ``R D`` of a radial law, as ``(points, factor)``.
 
     ``inverse`` is the law's `_RadialInverse`, through which ``R`` is drawn
     by inverse-CDF sampling, or ``None`` for the Gaussian shape ``M = 1``,
@@ -707,12 +712,16 @@ def _radial_draw(n: int, rng, dim: int, inverse: _RadialInverse | None) -> np.nd
     block of uniforms ``u`` gives both factors: ``D`` is the sign of
     ``u - 1/2`` and ``R`` the radius of the upper tail ``2 min(u, 1 - u)``,
     the unpolished `MultiGauss.quantile` of ``u`` (within ~1.4e-8 of it,
-    the inverse's interpolation error).  In more dimensions
-    ``D = Z/|Z|`` is uniform on the sphere: one block of standard normals
-    gives the directions, then one block of uniforms the radii, ``R`` that
-    of the upper tail ``1 - u``.  The radii are looked up at the tails'
-    log-tail scores, computed block by block; a uniform of 0 gives the
-    radius at an end of the inverse's grid.
+    the inverse's interpolation error).  In both cases ``points`` is the
+    ``(n, dim)`` block of points and ``factor`` is ``None``.  In more
+    dimensions ``D = Z/|Z|`` is uniform on the sphere: one block of standard
+    normals gives the directions, then one block of uniforms the radii,
+    ``R`` that of the upper tail ``1 - u``; ``points`` is then the unscaled
+    ``Z``, shape ``(n, dim)``, and ``factor`` the ``(n,)`` array ``R/|Z|``,
+    so that the caller scales each point after its affine map
+    (`MvMultiGauss.sample`).  The radii are looked up at the tails' log-tail
+    scores, computed block by block; a uniform of 0 gives the radius at an
+    end of the inverse's grid.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -720,7 +729,7 @@ def _radial_draw(n: int, rng, dim: int, inverse: _RadialInverse | None) -> np.nd
         raise TypeError("rng must be a numpy.random.Generator")
     n = int(n)
     if inverse is None:
-        return rng.standard_normal((n, dim))
+        return rng.standard_normal((n, dim)), None
     if dim == 1:
         u = rng.random(n)
         tail = np.subtract(1.0, u)
@@ -728,17 +737,17 @@ def _radial_draw(n: int, rng, dim: int, inverse: _RadialInverse | None) -> np.nd
         tail *= 2.0
         radius = inverse.radius(tail, tail=True, out=tail)
         u -= 0.5
-        return np.copysign(radius, u, out=radius)[:, None]
+        return np.copysign(radius, u, out=radius)[:, None], None
     z = rng.standard_normal((n, dim))
     norm = np.sqrt(np.einsum("ij,ij->i", z, z))
     zero = norm == 0.0
-    z[zero, 0] = 1.0  # a zero direction (probability ~0) becomes e_1
-    norm[zero] = 1.0
+    if zero.any():  # a zero direction (probability ~0) becomes e_1
+        z[zero, 0] = 1.0
+        norm[zero] = 1.0
     u = rng.random(n)
     radius = inverse.radius(np.subtract(1.0, u, out=u), tail=True, out=u)
     radius /= norm
-    z *= radius[:, None]
-    return z
+    return z, radius
 
 
 class MultiGauss:
@@ -1070,7 +1079,7 @@ class MultiGauss:
         identical output.  A draw beyond the float range is ``-inf`` or
         ``inf``, with no warning.
         """
-        x = _radial_draw(n, rng, 1, None if _gaussian(self._shape) else self._inverse)[:, 0]
+        x = _radial_draw(n, rng, 1, None if _gaussian(self._shape) else self._inverse)[0][:, 0]
         with np.errstate(over="ignore"):
             x *= self._sigma
             x += self._mu

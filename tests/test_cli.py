@@ -324,6 +324,37 @@ class TestRowCap:
         assert run(capsys, ["sample", "mg", "--n", "10", "--seed", "1"])[0] == 2
 
 
+class TestCountsWrittenAsFloats:
+    @staticmethod
+    def exit_code(capsys, argv):
+        try:
+            return run(capsys, argv)[0]
+        except SystemExit as exc:  # argparse rejects a value its type cannot convert
+            capsys.readouterr()
+            return exc.code
+
+    @pytest.mark.parametrize("count", ["1e5", "100000.0", "1E+05"])
+    def test_integer_valued_float_counts_are_the_integer(self, capsys, count):
+        argv = ["sample", "mv", "--m", "2.5", "--seed", "1", "--n"]
+        code, out, _ = run(capsys, argv + [count])
+        assert code == 0
+        assert out == run(capsys, argv + ["100000"])[1]
+
+    def test_integer_valued_float_points(self, capsys):
+        argv = ["eval", "cdf", "mg", "--m", "2.5", "--points"]
+        code, out, _ = run(capsys, argv + ["1.1e2"])
+        assert code == 0 and len(parse_csv(out)) == 110
+        assert out == run(capsys, argv + ["110"])[1]
+
+    @pytest.mark.parametrize("count", ["1.5", "0", "-3", "nan", "inf", "-inf", "1e400", "2e7",
+                                       "10000001", "ten"])
+    @pytest.mark.parametrize("flag", ["--n", "--points"])
+    def test_other_counts_exit_2(self, capsys, flag, count):
+        argv = (["sample", "mg", "--m", "2.5", "--seed", "1"] if flag == "--n"
+                else ["eval", "pdf", "mg", "--m", "2.5"])
+        assert self.exit_code(capsys, argv + [flag, count]) == 2
+
+
 class TestDensityOverflow:
     def test_infinite_density_exits_3_without_a_warning(self, capsys):
         import warnings

@@ -14,7 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from multigauss import MultiGauss, MvMultiGauss, SeriesNotConverged
+from multigauss import LogMultiGauss, MultiGauss, MvMultiGauss, SeriesNotConverged
 from multigauss.series import ShapeParam
 from multigauss.univariate import (
     _CDF_BAND, _CDF_EDGES, _CDF_REACH, _GL_NODES, _GL_WEIGHTS, _INVERSE_NODES,
@@ -341,6 +341,95 @@ def test_zero_uniform_draws_a_finite_point(dim):
     else:
         np.testing.assert_allclose(np.linalg.norm(x[:2], axis=1),
                                    inverse.radius(inverse.grid[:1])[0], rtol=1e-12)
+
+
+class _ZeroDirection(np.random.Generator):
+    """A generator whose first row of every block of normals is exactly 0."""
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        z = super().standard_normal(size, dtype, out)
+        z[0] = 0.0
+        return z
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+def test_zero_direction_draws_along_the_first_axis(dim):
+    rng = np.random.default_rng(21)
+    b = rng.normal(size=(dim, dim))
+    mv = MvMultiGauss(rng.uniform(-1.0, 1.0, dim), b @ b.T + np.eye(dim), 2.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = mv.sample(6, _ZeroDirection(np.random.PCG64(4)))
+    # a zero direction becomes e_1, at the radius of its own uniform
+    stream = np.random.default_rng(4)
+    stream.standard_normal((6, dim))
+    u = stream.random(6)
+    radius = mv._inverse.radius(np.subtract(1.0, u[:1]), tail=True)
+    assert np.all(np.isfinite(x[0]))
+    np.testing.assert_array_equal(x[0], mv.mean + mv.chol[:, 0] * radius)
+    # every other point is the unstubbed draw
+    np.testing.assert_array_equal(x[1:], mv.sample(6, np.random.default_rng(4))[1:])
+
+
+def _spd(rng, dim):
+    b = rng.normal(size=(dim, dim))
+    return b @ b.T + np.eye(dim)
+
+
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_gaussian_shape_is_the_gaussian_stream_bit_for_bit(dim):
+    rng = np.random.default_rng(30 + dim)
+    mv = MvMultiGauss(rng.uniform(-1.0, 1.0, dim), _spd(rng, dim), 1)
+    for n in (1, 2, 7, 500, 5000):
+        z = np.random.default_rng(n).standard_normal((n, dim))
+        np.testing.assert_array_equal(mv.sample(n, np.random.default_rng(n)),
+                                      mv.mean + z @ mv.chol.T)
+
+
+@pytest.mark.parametrize("dim", (2, 3, 5))
+@pytest.mark.parametrize("mval", (0.025, 2.5, 40))
+def test_scaling_after_the_map_moves_draws_by_rounding_only(mval, dim):
+    # the former form scaled each normal by R/|Z| before the map L
+    rng = np.random.default_rng(40 + dim)
+    mv = MvMultiGauss(rng.uniform(-2.0, 2.0, dim), _spd(rng, dim), mval)
+    n = 2000
+    x = mv.sample(n, np.random.default_rng(5))
+    stream = np.random.default_rng(5)
+    z = stream.standard_normal((n, dim))
+    u = stream.random(n)
+    s = mv._inverse.radius(1.0 - u, tail=True) / np.sqrt(np.einsum("ij,ij->i", z, z))
+    former = (z * s[:, None]) @ mv.chol.T + mv.mean
+    scale = np.abs(mv.mean) + s[:, None] * (np.abs(z) @ np.abs(mv.chol).T)
+    assert np.all(np.abs(x - former) <= 4.0 * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("mval", (1, 0.025, 2.5, 40))
+def test_one_dimensional_draws_keep_their_formula_bit_for_bit(mval):
+    n = 5000
+    stream = np.random.default_rng(6)
+    if mval == 1:
+        r = stream.standard_normal(n)
+    else:
+        u = stream.random(n)
+        tail = 2.0 * np.minimum(u, 1.0 - u)
+        r = np.copysign(MultiGauss(0.0, 1.0, mval)._inverse.radius(tail, tail=True), u - 0.5)
+    np.testing.assert_array_equal(MultiGauss(0.3, 1.7, mval).sample(n, np.random.default_rng(6)),
+                                  0.3 + 1.7 * r)
+    np.testing.assert_array_equal(
+        LogMultiGauss(0.3, 0.7, mval).sample(n, np.random.default_rng(6)), np.exp(0.3 + 0.7 * r))
+    mv = MvMultiGauss([0.3], [[2.89]], mval)
+    np.testing.assert_array_equal(mv.sample(n, np.random.default_rng(6)),
+                                  mv.mean + r[:, None] * mv.chol[0, 0])
+
+
+@pytest.mark.parametrize("n", (1, 2, 700))
+@pytest.mark.parametrize("mval,dim", [(1, 2), (1, 3), (2.5, 1), (2.5, 2), (0.025, 3)])
+def test_draws_are_rows_of_contiguous_columns(mval, dim, n):
+    rng = np.random.default_rng(50)
+    x = MvMultiGauss(rng.uniform(-1.0, 1.0, dim), _spd(rng, dim), mval).sample(
+        n, np.random.default_rng(7))
+    assert x.shape == (n, dim) and x.flags.f_contiguous
+    assert all(x[:, j].flags.c_contiguous for j in range(dim))
 
 
 def _dkw(n, delta):
