@@ -31,9 +31,9 @@ hazards live here:
   Hurwitz zeta functions, which restores near machine precision at the
   default cap of 2000 terms.  The zeta values come from `_hurwitz_zeta`, in
   this module: direct terms, then the Euler-Maclaurin formula, so nothing
-  here needs more than numpy.  The terms are formed in numpy, a block of up
-  to 2048 at a time, and the kept terms and the tail are summed with the
-  correctly rounded ``math.fsum``.
+  here needs more than numpy.  The terms are formed in one numpy pass of
+  the policy's ``max_terms``, and the kept terms and the tail are summed
+  with the correctly rounded ``math.fsum``.
 
 The constructors take the integer sums from here, and the fractional ones
 above order 5 (``N > 10``); the Mellin rule of `multigauss.univariate` gives
@@ -139,7 +139,9 @@ class TruncationPolicy:
     Ignored for integer shapes, where the sum is exact and finite.  The
     defaults (stop below ``1e-14`` absolute, cap at 2000 terms, never stop
     before 10 terms so the sign pattern has settled) are suitable for every
-    operation in the package.
+    operation in the package.  All ``max_terms`` terms are formed in one
+    numpy pass, so work and memory grow with it: a few float arrays of
+    that length.
     """
 
     eps_abs: float = 1e-14
@@ -191,10 +193,10 @@ EXACT_COEFF_LIMIT = 54
 
 
 def _coeff_products(v: float, n: int) -> list[float]:
-    """``(v)_m / m!`` for ``m = 1..n`` by the incremental product ``b_m = b_{m-1} (v - m + 1) / m``.
+    """``C(v, m)`` for ``m = 1..n`` of an integer ``v``: ``b_m = b_{m-1} (v - m + 1) / m``.
 
-    No intermediate factorial can overflow, even at ``m = 10000``.  For an
-    integer ``v`` up to `EXACT_COEFF_LIMIT` every product is exact.
+    No intermediate factorial can overflow.  Up to `EXACT_COEFF_LIMIT`
+    every product is exact.
     """
     out = []
     b = 1.0
@@ -204,17 +206,32 @@ def _coeff_products(v: float, n: int) -> list[float]:
     return out
 
 
+def _signed_products(v: float, n: int) -> np.ndarray:
+    """``C(v, m) (-1)^(m-1)`` for ``m = 1..n`` of a fractional ``v``.
+
+    The cumulative product of the ratios ``(v - m + 1) / m``, which no
+    intermediate factorial can overflow, its signs flipped at even ``m``.
+    """
+    m = np.arange(1.0, n + 1.0)
+    with np.errstate(all="ignore"):
+        out = np.cumprod((v - m + 1.0) / m)
+    out[1::2] = -out[1::2]
+    return out
+
+
 def binom_coeff(m_shape, m: int) -> float:
     """Generalized binomial coefficient ``(M)_m / m!``.
 
-    Computed by `_coeff_products`, so for integer shapes the result is exact
-    up to ``M = EXACT_COEFF_LIMIT`` and exactly ``0.0`` for ``m > M``.
+    Exact for integer shapes up to ``M = EXACT_COEFF_LIMIT``, and exactly
+    ``0.0`` for ``m > M``; a fractional shape's is the last of
+    `signed_coeffs`, its sign restored.
     """
     shape = ShapeParam.of(m_shape)
     if not (isinstance(m, (int, np.integer)) and m >= 1):
         raise ValueError(f"m must be a positive integer, got {m!r}")
     if not shape.is_integer:
-        return _coeff_products(shape.value, m)[-1]
+        c = float(_signed_products(shape.value, m)[-1])
+        return c if m % 2 else -c
     mi = shape.int_value
     return _coeff_products(float(mi), m)[-1] if m <= mi else 0.0
 
@@ -223,23 +240,18 @@ def signed_coeffs(m_shape, n: int) -> np.ndarray:
     """Array of ``C(M, m) (-1)^(m-1)`` for ``m = 1..n``.
 
     For integer shapes the array is truncated at ``m = M`` (later entries
-    would be exact zeros) and holds the bits of `binom_coeff`.  Fractional
-    coefficients come from a cumulative product of ratios, adequate for the
-    weighted sums they feed.
+    would be exact zeros).  Every entry holds the bits of `binom_coeff`,
+    its sign applied.
     """
     shape = ShapeParam.of(m_shape)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if shape.is_integer:
-        mi = shape.int_value
-        out = np.array(_coeff_products(float(mi), min(n, mi)))
-        out[1::2] = -out[1::2]
-        return out
-    ms = np.arange(1.0, n + 1.0)
-    ratios = (shape.value - ms + 1.0) / ms
-    coeffs = np.cumprod(ratios)
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    return coeffs * signs
+    if not shape.is_integer:
+        return _signed_products(shape.value, n)
+    mi = shape.int_value
+    out = np.array(_coeff_products(float(mi), min(n, mi)))
+    out[1::2] = -out[1::2]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -446,41 +458,17 @@ def _series_integer(alpha: float, shape: ShapeParam) -> SeriesResult:
     return SeriesResult(value, mi, cond, TruncationFlag.EXACT)
 
 
-#: Terms the fractional series forms per numpy pass.  Even, so every block
-#: starts at an odd ``m``; the default cap of 2000 terms is one block.
-_SERIES_BLOCK = 2048
-
-
 def _series_fractional(alpha: float, shape: ShapeParam, policy: TruncationPolicy) -> SeriesResult:
-    v = shape.value
-    blocks = []
-    b = 1.0
-    terms_used = policy.max_terms
-    met_in_loop = False
-    start = 1
+    m = np.arange(1.0, policy.max_terms + 1.0)
     with np.errstate(all="ignore"):
-        while start <= policy.max_terms:
-            m = np.arange(start, min(start + _SERIES_BLOCK, policy.max_terms + 1), dtype=float)
-            # the product of the ratios (v - m + 1)/m, continued from the last
-            # block's b: the same bits as one product over every block
-            coeffs = np.cumprod(np.concatenate(([b], (v - m + 1.0) / m)))[1:]
-            terms = coeffs * m ** -alpha
-            terms[1::2] = -terms[1::2]
-            small = np.abs(terms) < policy.eps_abs
-            small[:max(policy.min_terms - start, 0)] = False
-            stop = int(small.argmax())
-            if small[stop]:
-                blocks.append(terms[:stop + 1])
-                terms_used = start + stop
-                met_in_loop = True
-                break
-            blocks.append(terms)
-            b = float(coeffs[-1])
-            if not math.isfinite(b):
-                # every later term is non-finite too, so none can meet the tolerance
-                break
-            start += _SERIES_BLOCK
-    terms = np.concatenate(blocks)
+        terms = _signed_products(shape.value, policy.max_terms) * m ** -alpha
+        small = np.abs(terms) < policy.eps_abs
+    small[:policy.min_terms - 1] = False
+    stop = int(small.argmax())
+    met = bool(small[stop])
+    if met:
+        terms = terms[:stop + 1]
+    terms_used = terms.size
     tail, residual = series_tail(alpha, shape, terms_used)
     if np.isfinite(terms).all():
         try:
@@ -495,7 +483,7 @@ def _series_fractional(alpha: float, shape: ShapeParam, policy: TruncationPolicy
             abs_sum = float(np.abs(terms).sum()) + abs(tail)
     else:
         value = abs_sum = math.nan
-    if math.isfinite(value) and (met_in_loop or residual < max(policy.eps_abs, 5e-16 * abs(value))):
+    if math.isfinite(value) and (met or residual < max(policy.eps_abs, 5e-16 * abs(value))):
         flag = TruncationFlag.TOLERANCE_MET
     else:
         flag = TruncationFlag.CAP_HIT
@@ -526,8 +514,9 @@ def series_s(alpha: float, m_shape, policy: TruncationPolicy | None = None) -> S
 
 def check_normalization(result: SeriesResult, alpha: float, shape: ShapeParam, what: str,
                         exact_limit: int = EXACT_COEFF_LIMIT) -> None:
-    """Raise :class:`SeriesNotConverged` unless ``result = S(alpha; M)`` kept its digits.
+    """Raise :class:`SeriesNotConverged` unless ``result = S(alpha; M)`` converged and kept its digits.
 
+    A ``CAP_HIT`` result did not converge.
     Integer shapes up to ``exact_limit`` sum exact terms in fixed point at
     the orders where ``2 alpha`` is a non-negative integer, so only their
     last rounding counts; any other shape or order loses about
@@ -539,6 +528,9 @@ def check_normalization(result: SeriesResult, alpha: float, shape: ShapeParam, w
     exact_terms = (shape.is_integer and shape.int_value <= exact_limit
                    and k >= 0.0 and k.is_integer())
     err_floor = 1e-30 if exact_terms else 2e-16
+    if result.truncation_flag is TruncationFlag.CAP_HIT:
+        raise SeriesNotConverged(f"{what} did not converge for M={shape.value} "
+                                 f"(condition number {result.condition_number:.3g})")
     if not (math.isfinite(result.value)
             and result.condition_number * err_floor <= 1e-3):
         raise SeriesNotConverged(
@@ -551,7 +543,7 @@ def xi_coeff(n: int, m_shape, policy: TruncationPolicy | None = None) -> float:
     """Moment coefficient ratio ``S(n + 1/2; M) / S(1/2; M)``.
 
     ``xi_0`` is identically 1.  Raises :class:`SeriesNotConverged` when
-    either series reports ``CAP_HIT`` or `check_normalization` rejects it.
+    `check_normalization` rejects either series.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 0):
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
@@ -561,10 +553,5 @@ def xi_coeff(n: int, m_shape, policy: TruncationPolicy | None = None) -> float:
     num = series_s(n + 0.5, shape, policy)
     den = series_s(0.5, shape, policy)
     for alpha, res, label in ((n + 0.5, num, f"S({n}+1/2)"), (0.5, den, "S(1/2)")):
-        if res.truncation_flag is TruncationFlag.CAP_HIT:
-            raise SeriesNotConverged(
-                f"{label} did not converge for M={shape.value} "
-                f"(condition number {res.condition_number:.3g})"
-            )
         check_normalization(res, alpha, shape, label)
     return num.value / den.value

@@ -279,9 +279,6 @@ def _normalization(alpha: float, shape: ShapeParam, what: str,
     """
     if shape.is_integer or alpha > _MELLIN_MAX_ORDER:
         res = series_s(alpha, shape)
-        if res.truncation_flag is TruncationFlag.CAP_HIT:
-            raise SeriesNotConverged(f"{what} did not converge for M={shape.value} "
-                                     f"(condition number {res.condition_number:.3g})")
         check_normalization(res, alpha, shape, what, exact_limit=exact_limit)
     elif shape.value > _MELLIN_MAX_SHAPE:
         raise SeriesNotConverged(f"{what} is out of reach for fractional M={shape.value} "

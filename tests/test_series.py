@@ -1,5 +1,6 @@
 """Tests for the alternating binomial series engine."""
 
+import dataclasses
 import json
 import math
 import os
@@ -335,7 +336,7 @@ class TestFractionalSeries:
 
     @pytest.mark.parametrize("alpha,mval,policy", [
         (0.5, 2.5, DEFAULT_POLICY),
-        (0.5, 2.5, TruncationPolicy(max_terms=5000)),  # stops in the second block
+        (0.5, 2.5, TruncationPolicy(max_terms=5000)),  # stops past the default cap
         (1.5, 7.3, DEFAULT_POLICY),
         (0.5, 12.5, TruncationPolicy(max_terms=5000, min_terms=3000)),
         (2.5, 0.025, TruncationPolicy(eps_abs=1e-9)),
@@ -345,23 +346,29 @@ class TestFractionalSeries:
         assert r.terms_used == loop_stop(alpha, mval, policy)
         assert r.truncation_flag is TruncationFlag.TOLERANCE_MET
 
-    def test_stops_near_the_start_of_a_later_block(self):
+    def test_stops_just_past_the_default_cap(self):
         t2049, t2050 = (abs(binom_coeff(2.5, m)) * m ** -0.5 for m in (2049, 2050))
         policy = TruncationPolicy(eps_abs=math.sqrt(t2049 * t2050), max_terms=5000)
         assert series_s(0.5, 2.5, policy).terms_used == 2050 == loop_stop(0.5, 2.5, policy)
 
     @pytest.mark.parametrize("mval", [1e-3, 0.5, 2.5, 7.3, 12.378584, 20.5, 47.5, 170.5, 200.3])
-    def test_first_block_size_changes_no_bit(self, monkeypatch, mval):
-        # each block continues the last one's product, so every field keeps its
-        # bits when the series is formed 16 terms at a time
-        from multigauss import series
-
+    def test_a_longer_cap_that_stops_at_the_same_term_changes_no_bit(self, mval):
+        # the pass forms every term up to the cap but keeps only those up to
+        # the stop, so each cap at or above the stop, the stop itself included,
+        # keeps every field of the longest
         policies = (DEFAULT_POLICY, TruncationPolicy(max_terms=5000, min_terms=3000),
                     TruncationPolicy(eps_abs=1e-9), TruncationPolicy(eps_abs=0.0, max_terms=3000))
-        got = [series_s(a, mval, p) for a in (0.5, 1.5, 4.5) for p in policies]
-        monkeypatch.setattr(series, "_SERIES_BLOCK", 16)
-        want = [series_s(a, mval, p) for a in (0.5, 1.5, 4.5) for p in policies]
-        assert list(map(fields, got)) == list(map(fields, want))
+        compared = 0
+        for a in (0.5, 1.5, 4.5):
+            for p in policies:
+                longer = series_s(a, mval, dataclasses.replace(p, max_terms=4 * p.max_terms))
+                stop = longer.terms_used
+                for cap in (stop, p.max_terms) if stop < 4 * p.max_terms else ():
+                    if cap >= stop:
+                        same = series_s(a, mval, dataclasses.replace(p, max_terms=cap))
+                        assert fields(same) == fields(longer), (a, p, cap)
+                        compared += 1
+        assert compared >= 8
 
 
 @pytest.fixture(scope="module")
@@ -503,7 +510,7 @@ class TestSameBitsAsTheFormerSums:
     def test_a_million_terms(self, mval):
         policy = TruncationPolicy(max_terms=10**6)
         r = series_s(0.5, mval, policy)
-        assert r.terms_used > 10**5  # many blocks, summed at once
+        assert r.terms_used > 10**5
         assert_plain(r, 0.5, mval, policy)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.5, 1e6, -400.0, math.nan])
