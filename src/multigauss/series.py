@@ -214,7 +214,7 @@ def _signed_products(v: float, n: int) -> np.ndarray:
     """
     m = np.arange(1.0, n + 1.0)
     with np.errstate(all="ignore"):
-        out = np.cumprod((v - m + 1.0) / m)
+        out = np.cumprod((v - (m - 1.0)) / m)
     out[1::2] = -out[1::2]
     return out
 

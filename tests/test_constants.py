@@ -68,6 +68,15 @@ def test_vanishing_shapes_reach_their_limit(mval):
         assert mv.norm_const == pytest.approx(mval * ZETA[n / 2], rel=REL, abs=0), n
 
 
+@pytest.mark.parametrize("mval, ref", [(1e-12, 1.012005899888512240889325e-12),
+                                       (1e-20, 1.012005899888524796100659e-20)])
+def test_tiny_shapes_above_order_five_keep_their_digits(mval, ref):
+    # N = 11 takes S(5.5; M) from the series, whose first coefficient is M
+    # itself; 40-digit mpmath of the Mellin integral
+    mv = MvMultiGauss(np.zeros(11), np.eye(11), mval)
+    assert mv.norm_const == pytest.approx(ref, rel=1e-15, abs=0)
+
+
 def test_integer_shapes_keep_the_exact_series():
     for mval in range(1, 58):
         assert MultiGauss(0.0, 1.0, mval).c0.hex() == series_s(0.5, mval).value.hex(), mval

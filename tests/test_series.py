@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from multigauss import (
     SeriesNotConverged,
@@ -108,6 +109,18 @@ class TestBinomCoeff:
             binom_coeff(2, 0)
         with pytest.raises(ValueError):
             binom_coeff(2, -3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mval=st.floats(2.2250738585072014e-308, 1.0, exclude_max=True))
+    def test_first_coefficient_is_the_shape(self, mval):
+        # the ratio M - (m - 1) is exact at m = 1, where M - m + 1 cancelled:
+        # 0.30000000000000004 at M = 0.3, and 0.0 at 1e-100
+        assume(not ShapeParam(mval).is_integer)
+        assert binom_coeff(mval, 1) == mval == signed_coeffs(mval, 1)[0]
+
+    def test_first_coefficient_above_one(self):
+        for mval in (1.5, 2.5, 7.3, 12.378584, 200.3, 1e6 + 0.5):
+            assert binom_coeff(mval, 1) == mval == signed_coeffs(mval, 1)[0]
 
 
 class TestSeriesSum:
@@ -307,12 +320,31 @@ def mellin_refs(reference_doc):
 
 FRACTIONAL_SHAPES = (1e-3, 0.025, 0.5, 2.5, 7.3, 12.378584)
 
+#: ``zeta(a + 1)`` at ``a = 0.5, 1, 2.5, 5.5`` (mpmath, 25 digits).
+ZETA_OF_A_PLUS_ONE = {0.5: 2.612375348685488343348568, 1.0: 1.644934066848226436472415,
+                      2.5: 1.126733867317056646427812, 5.5: 1.012005899888524796100785}
+
 
 class TestFractionalSeries:
     @pytest.mark.parametrize("mval", FRACTIONAL_SHAPES)
     def test_matches_mpmath(self, mellin_refs, mval):
         for a in (0.5, 1.0, 1.5, 2.5):
             assert series_s(a, mval).value == pytest.approx(mellin_refs[a, mval], rel=3e-14, abs=0)
+
+    @pytest.mark.parametrize("mval", [1e-9, 1e-6, 1e-3, 0.025])
+    def test_small_shapes_match_the_constants_block(self, reference_doc, mval):
+        # the first coefficient is M itself, so a tiny shape keeps its digits
+        doc = reference_doc["constants"]
+        for a, ref in zip(doc["orders"], doc["values"][repr(mval)]):
+            assert series_s(a, mval).value == pytest.approx(ref, rel=1e-15, abs=0), a
+
+    @pytest.mark.parametrize("mval", [1e-300, 1e-100, 1e-20])
+    def test_vanishing_shapes_reach_their_limit(self, mval):
+        # C(M, m) (-1)^(m-1) = M/m + O(M^2), so S(a; M) = M zeta(a + 1) to ~M relative
+        for a, zeta in ZETA_OF_A_PLUS_ONE.items():
+            r = series_s(a, mval)
+            assert r.value == pytest.approx(mval * zeta, rel=1e-15, abs=0), a
+            assert r.truncation_flag is TruncationFlag.TOLERANCE_MET
 
     @pytest.mark.parametrize("mval", [200.3, 1000.5, 10000.5, 1e6 + 0.5])
     def test_huge_shapes_raise_without_warnings(self, mval):
@@ -468,20 +500,23 @@ def plain_series(alpha, mval, policy):
     `series_tail` there.
 
     Returns the stop, the value and a bound on its distance from `series_s`:
-    each coefficient is a product of ``m`` ratios, rounded twice each here and
-    at most twice in `series_s`, so the two sums differ by at most ``eps
-    sum_m (4m + 4) |t_m|`` and each final rounding.
+    each coefficient is a product of ``m`` ratios ``(M - (m - 1)) / m``,
+    rounded three times each here and in `series_s`, so the two sums differ
+    by at most ``eps sum_m (6m + 4) |t_m|`` and each final rounding.  ``m -
+    1`` is exact, so the first coefficient is ``M`` itself: ``M - m + 1``
+    would cancel at ``m = 1`` and lose every digit of a tiny ``M``.
     """
-    from multigauss.series import _coeff_products  # binom_coeff's bits, for every m at once
-
     stop = loop_stop(alpha, mval, policy)
-    terms = [(b if m % 2 else -b) * m ** -alpha
-             for m, b in enumerate(_coeff_products(mval, stop), 1)]
+    terms = []
+    b = 1.0
+    for m in range(1, stop + 1):
+        b = b * (mval - (m - 1)) / m
+        terms.append((b if m % 2 else -b) * m ** -alpha)
     try:
         value = math.fsum(terms + [series_tail(alpha, mval, stop)[0]])
     except OverflowError:
         value = math.nan
-    bound = 2.0**-52 * (math.fsum((4 * m + 4) * abs(t) for m, t in enumerate(terms, 1))
+    bound = 2.0**-52 * (math.fsum((6 * m + 4) * abs(t) for m, t in enumerate(terms, 1))
                         + 2.0 * abs(value))
     return stop, value, bound
 
