@@ -423,8 +423,8 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _count(text: str) -> int:
-    """A row count (``--n``, ``--points``): an integer, also one written as a
-    float (``1e5``, ``100000.0``).  Any other text is an argparse error."""
+    """A count (``--n``, ``--points``, ``--k``): an integer, also one written
+    as a float (``1e5``, ``100000.0``).  Any other text is an argparse error."""
     try:
         return int(text)
     except ValueError:
@@ -461,8 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--to", type=float, default=None, help="grid end")
     p_eval.add_argument("--points", type=_count, default=801,
                         help="grid size (an integer, also as a float: 1e3)")
-    p_eval.add_argument("--k", type=int, default=4,
-                        help="highest moment/cumulant order")
+    p_eval.add_argument("--k", type=_count, default=4,
+                        help="highest moment/cumulant order (an integer, also as a float)")
     p_eval.add_argument("--format", choices=["csv", "json"], default="csv")
     p_eval.add_argument("--out", default=None, help="output file (default stdout)")
 

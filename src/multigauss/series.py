@@ -244,8 +244,8 @@ def signed_coeffs(m_shape, n: int) -> np.ndarray:
     its sign applied.
     """
     shape = ShapeParam.of(m_shape)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     if not shape.is_integer:
         return _signed_products(shape.value, n)
     mi = shape.int_value

@@ -354,6 +354,18 @@ class TestCountsWrittenAsFloats:
                 else ["eval", "pdf", "mg", "--m", "2.5"])
         assert self.exit_code(capsys, argv + [flag, count]) == 2
 
+    @pytest.mark.parametrize("order", ["4.0", "4e0"])
+    def test_integer_valued_float_orders(self, capsys, order):
+        argv = ["eval", "moments", "mg", "--m", "2", "--k"]
+        code, out, _ = run(capsys, argv + [order])
+        assert code == 0
+        assert out == run(capsys, argv + ["4"])[1]
+
+    @pytest.mark.parametrize("order", ["4.5", "nan", "inf", "0", "-3"])
+    def test_other_orders_exit_2(self, capsys, order):
+        argv = ["eval", "cumulants", "mg", "--m", "2", "--k", order]
+        assert self.exit_code(capsys, argv) == 2
+
 
 class TestDensityOverflow:
     def test_infinite_density_exits_3_without_a_warning(self, capsys):

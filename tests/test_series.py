@@ -205,6 +205,12 @@ class TestSignedCoeffs:
     def test_integer_truncates_at_shape(self):
         assert len(signed_coeffs(3, 12)) == 3
 
+    @pytest.mark.parametrize("mval", [3, 2.5])
+    @pytest.mark.parametrize("n", [0, -2, 2.5, 3.0, "3", None])
+    def test_n_must_be_a_positive_integer(self, mval, n):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            signed_coeffs(mval, n)
+
 
 class TestXiCoeff:
     def test_unit_for_gaussian_shape(self):
