@@ -140,8 +140,7 @@ class TruncationPolicy:
     defaults (stop below ``1e-14`` absolute, cap at 2000 terms, never stop
     before 10 terms so the sign pattern has settled) are suitable for every
     operation in the package.  All ``max_terms`` terms are formed in one
-    numpy pass, so work and memory grow with it: a few float arrays of
-    that length.
+    numpy pass: work and memory grow with ``max_terms``.
     """
 
     eps_abs: float = 1e-14
@@ -209,8 +208,9 @@ def _coeff_products(v: float, n: int) -> list[float]:
 def _signed_products(v: float, n: int) -> np.ndarray:
     """``C(v, m) (-1)^(m-1)`` for ``m = 1..n`` of a fractional ``v``.
 
-    The cumulative product of the ratios ``(v - m + 1) / m``, which no
-    intermediate factorial can overflow, its signs flipped at even ``m``.
+    The cumulative product of the ratios ``(v - (m - 1)) / m``, its signs
+    flipped at even ``m``.  ``m - 1`` is exact, so the first is ``v``
+    itself, where ``v - m + 1`` would cancel (to 0 at ``v = 1e-100``).
     """
     m = np.arange(1.0, n + 1.0)
     with np.errstate(all="ignore"):
@@ -223,8 +223,8 @@ def binom_coeff(m_shape, m: int) -> float:
     """Generalized binomial coefficient ``(M)_m / m!``.
 
     Exact for integer shapes up to ``M = EXACT_COEFF_LIMIT``, and exactly
-    ``0.0`` for ``m > M``; a fractional shape's is the last of
-    `signed_coeffs`, its sign restored.
+    ``0.0`` for ``m > M``.  A fractional shape's is the last of the ``m``
+    `signed_coeffs`, its sign restored, so work and memory grow with ``m``.
     """
     shape = ShapeParam.of(m_shape)
     if not (isinstance(m, (int, np.integer)) and m >= 1):
@@ -514,23 +514,23 @@ def series_s(alpha: float, m_shape, policy: TruncationPolicy | None = None) -> S
 
 def check_normalization(result: SeriesResult, alpha: float, shape: ShapeParam, what: str,
                         exact_limit: int = EXACT_COEFF_LIMIT) -> None:
-    """Raise :class:`SeriesNotConverged` unless ``result = S(alpha; M)`` converged and kept its digits.
+    """Raise :class:`SeriesNotConverged` unless ``result = S(alpha; M)`` kept its digits.
 
-    A ``CAP_HIT`` result did not converge.
-    Integer shapes up to ``exact_limit`` sum exact terms in fixed point at
-    the orders where ``2 alpha`` is a non-negative integer, so only their
-    last rounding counts; any other shape or order loses about
+    A ``CAP_HIT`` result did not converge, and keeps none.  Integer shapes
+    up to ``exact_limit`` sum exact terms in fixed point at the orders
+    where ``2 alpha`` is a non-negative integer, so only their last
+    rounding counts; any other shape or order loses about
     ``log10(condition_number)`` digits of plain float precision.  A value
     whose estimated relative error exceeds 1e-3, or that is not finite,
     retains no significant digits.
     """
+    if result.truncation_flag is TruncationFlag.CAP_HIT:
+        raise SeriesNotConverged(f"{what} did not converge for M={shape.value} "
+                                 f"(condition number {result.condition_number:.3g})")
     k = 2.0 * alpha
     exact_terms = (shape.is_integer and shape.int_value <= exact_limit
                    and k >= 0.0 and k.is_integer())
     err_floor = 1e-30 if exact_terms else 2e-16
-    if result.truncation_flag is TruncationFlag.CAP_HIT:
-        raise SeriesNotConverged(f"{what} did not converge for M={shape.value} "
-                                 f"(condition number {result.condition_number:.3g})")
     if not (math.isfinite(result.value)
             and result.condition_number * err_floor <= 1e-3):
         raise SeriesNotConverged(

@@ -273,9 +273,9 @@ def _normalization(alpha: float, shape: ShapeParam, what: str,
     1 and ``TOLERANCE_MET``; a larger fractional shape raises
     `SeriesNotConverged` there.  Integer shapes keep the exact series, and
     higher orders, where the series converges like ``m^-alpha``, the
-    truncated one (`series_s`): either raises `SeriesNotConverged` for a
-    ``CAP_HIT`` result or one that `check_normalization` rejects.  Raises
-    ``ValueError`` unless the value is positive.
+    truncated one (`series_s`): either raises `SeriesNotConverged` where
+    `check_normalization` rejects it (a ``CAP_HIT`` result among them).
+    Raises ``ValueError`` unless the value is positive.
     """
     if shape.is_integer or alpha > _MELLIN_MAX_ORDER:
         res = series_s(alpha, shape)
