@@ -390,10 +390,10 @@ class TestFractionalSeries:
         assert series_s(0.5, 2.5, policy).terms_used == 2050 == loop_stop(0.5, 2.5, policy)
 
     @pytest.mark.parametrize("mval", [1e-3, 0.5, 2.5, 7.3, 12.378584, 20.5, 47.5, 170.5, 200.3])
-    def test_a_longer_cap_that_stops_at_the_same_term_changes_no_bit(self, mval):
-        # the pass forms every term up to the cap but keeps only those up to
-        # the stop, so each cap at or above the stop, the stop itself included,
-        # keeps every field of the longest
+    def test_first_block_size_changes_no_bit(self, mval):
+        # the one pass forms a single block of max_terms terms and keeps only
+        # those up to the stop, so a block of any size at or above the stop,
+        # the stop itself included, keeps every field of a 4x-longer one
         policies = (DEFAULT_POLICY, TruncationPolicy(max_terms=5000, min_terms=3000),
                     TruncationPolicy(eps_abs=1e-9), TruncationPolicy(eps_abs=0.0, max_terms=3000))
         compared = 0
