@@ -302,7 +302,7 @@ def loop_stop(alpha, mval, policy):
     """The stopping index of the term-by-term loop: first m >= min_terms with |t_m| < eps_abs."""
     b = 1.0
     for m in range(1, policy.max_terms + 1):
-        b = b * (mval - m + 1) / m
+        b = b * (mval - (m - 1)) / m
         if m >= policy.min_terms and abs(b * m ** -alpha) < policy.eps_abs:
             return m
     return policy.max_terms
@@ -507,10 +507,11 @@ def plain_series(alpha, mval, policy):
 
     Returns the stop, the value and a bound on its distance from `series_s`:
     each coefficient is a product of ``m`` ratios ``(M - (m - 1)) / m``,
-    rounded three times each here and in `series_s`, so the two sums differ
-    by at most ``eps sum_m (6m + 4) |t_m|`` and each final rounding.  ``m -
-    1`` is exact, so the first coefficient is ``M`` itself: ``M - m + 1``
-    would cancel at ``m = 1`` and lose every digit of a tiny ``M``.
+    rounded three times each here and in `series_s` (``6m`` roundings of
+    ``eps / 2``), so the two sums differ by at most ``eps sum_m (4m + 4)
+    |t_m|`` and each final rounding.  ``m - 1`` is exact, so the first
+    coefficient is ``M`` itself: ``M - m + 1`` would cancel at ``m = 1`` and
+    lose every digit of a tiny ``M``.
     """
     stop = loop_stop(alpha, mval, policy)
     terms = []
@@ -522,7 +523,7 @@ def plain_series(alpha, mval, policy):
         value = math.fsum(terms + [series_tail(alpha, mval, stop)[0]])
     except OverflowError:
         value = math.nan
-    bound = 2.0**-52 * (math.fsum((6 * m + 4) * abs(t) for m, t in enumerate(terms, 1))
+    bound = 2.0**-52 * (math.fsum((4 * m + 4) * abs(t) for m, t in enumerate(terms, 1))
                         + 2.0 * abs(value))
     return stop, value, bound
 
