@@ -35,8 +35,8 @@ import numpy as np
 from dataclasses import dataclass
 
 from .series import ShapeParam
-from .univariate import (_CdfTable, _RadialInverse, _gaussian, _log_profile, _normalization,
-                         _radial_draw, mg_profile)
+from .univariate import (_RadialLaw, _gaussian, _log_profile, _normalization, _radial_draw,
+                         mg_profile)
 
 __all__ = ["MvMultiGauss", "BivariateParams", "bivariate_pdf"]
 
@@ -294,7 +294,7 @@ class MvMultiGauss:
         flat = np.atleast_1d(q).ravel()
         with np.errstate(invalid="ignore"):
             r = np.sqrt(np.maximum(flat, 0.0))
-        tail, upper = self._radial_table.smaller_tail(r)
+        tail, upper = self._law.smaller_tail(r)
         out = np.where(upper, 1.0 - tail, tail)
         out[np.isnan(flat)] = np.nan
         return float(out[0]) if q.ndim == 0 else out.reshape(q.shape)
@@ -323,8 +323,7 @@ class MvMultiGauss:
         before it, which moves a draw from the former ``(s Z) L^T`` by
         rounding only.  Identical generator state yields identical output.
         """
-        inverse = None if _gaussian(self._shape) else self._inverse
-        z, factor = _radial_draw(n, rng, self.dim, inverse)
+        z, factor = _radial_draw(n, rng, self.dim, None if _gaussian(self._shape) else self._law)
         xt = self._chol @ z.T
         if factor is not None:
             xt *= factor
@@ -332,12 +331,8 @@ class MvMultiGauss:
         return xt.T
 
     @cached_property
-    def _radial_table(self) -> _CdfTable:
-        return _CdfTable(self._shape, self.dim)
-
-    @cached_property
-    def _inverse(self) -> _RadialInverse:
-        return _RadialInverse(self._radial_table)
+    def _law(self) -> _RadialLaw:
+        return _RadialLaw(self._shape, self.dim)
 
 
 def _pairwise_rows(sq: np.ndarray) -> np.ndarray:

@@ -17,26 +17,26 @@ Evaluation strategy: the closed form above is the one profile formula on
 the whole half-line ``w = (x-mu)^2 / (2 sigma^2) >= 0``.  It keeps full
 relative precision for every ``M`` out to ``w = 700``, where the profile
 nears the float underflow; beyond, the scaled profile ``e^w f(w)`` is ``M``
-(`_profile_tail_series`).  The density, the CDF table, the expectation rule
-and the log density all evaluate it.  Every other quantity is an integral
-of the profile over the standardized half-line, taken from one table that
-each object builds on first use: a Gauss-Jacobi rule over the mode band
-(which absorbs the cusp of fractional shapes, in a closed form that keeps
-its digits however small ``M``), then Gauss-Legendre panels out to 40
-sigma.  The CDF is the tabulated mass beyond the next panel edge plus one
-fixed rule up to that edge.  The moment ratios, the MGF and the CF
-are expectations under the same nodes (`_CdfTable.expectation_rule`), with
-the profile folded into the weights as ``e^w f(w)`` so that no weight
-underflows; all are vectorized over any array of points.
+(`_profile_tail_series`).  The density, the radial law's masses, its
+expectation rule and the log density all evaluate it.
 
 The law is the case N = 1 of the elliptical family, ``X = mu + sigma sign
-R`` with ``R = |U|`` (Cambanis, Huang & Simons 1981).  One radial inverse
-of the table (`_RadialInverse`) serves the quantile and, through
-`_radial_draw`, the samplers of both families.  In more dimensions the
-draw hands back the normals ``Z`` and the factors ``R/|Z|`` unmultiplied:
-`MvMultiGauss.sample` forms ``mean + L (R Z/|Z|)`` coordinate-major, one
-matrix product ``L Z^T`` and then contiguous row updates.  No scipy is
-needed.
+R`` with ``R = |U|`` (Cambanis, Huang & Simons 1981), and every quantity
+other than the density is one of ``R``: each object holds one `_RadialLaw`,
+built on first use, and keeps only its map to ``R``.  The law integrates
+the profile over the standardized half-line: a Gauss-Jacobi rule over the
+mode band (which absorbs the cusp of fractional shapes, in a closed form
+that keeps its digits however small ``M``), then Gauss-Legendre panels out
+to 40 sigma.  The CDF is the tabulated mass beyond the next panel edge
+plus one fixed rule up to that edge.  The moment ratios, the MGF and the
+CF are expectations under the same nodes (`_RadialLaw.expectation_rule`),
+with the profile folded into the weights as ``e^w f(w)`` so that no weight
+underflows; all are vectorized over any array of points.  The law's
+inverse serves the quantile and, through `_radial_draw`, the samplers of
+both families.  In more dimensions the draw hands back the normals ``Z``
+and the factors ``R/|Z|`` unmultiplied: `MvMultiGauss.sample` forms ``mean
++ L (R Z/|Z|)`` coordinate-major, one matrix product ``L Z^T`` and then
+contiguous row updates.  No scipy is needed.
 """
 
 from __future__ import annotations
@@ -324,21 +324,82 @@ def _log_phi(y: np.ndarray) -> np.ndarray:
     return np.where(y > 0.0, np.log(-np.expm1(-safe) / safe), 0.0)
 
 
-class _CdfTable:
-    """Masses of the radial law with density ``s^(dim-1) f(s^2/2)``, ``s >= 0``.
+def _tail_roots(p: np.ndarray):
+    """``a = sqrt(-2 log p)`` and ``b = sqrt(-2 log(1 - p))`` for an array of masses in [0, 1]."""
+    with np.errstate(divide="ignore"):
+        a = np.log(p)
+        b = np.negative(p)
+        np.log1p(b, out=b)
+    a *= -2.0
+    b *= -2.0
+    return np.sqrt(a, out=a), np.sqrt(b, out=b)
+
+
+def _log_tail_score(p: np.ndarray) -> np.ndarray:
+    """Log-tail score ``sqrt(-2 log p) - sqrt(-2 log(1 - p))`` of an array of tail masses.
+
+    It stands in for the Gaussian score of the tail: it tends to
+    ``sqrt(-2 log p)`` as ``p -> 0``, so both tails keep their relative
+    precision, and it is odd about ``p = 1/2`` and analytic across it, so
+    either tail of a law may be taken.  ``+inf`` at ``p = 0``, ``-inf`` at
+    ``p = 1``.
+    """
+    a, b = _tail_roots(p)
+    a -= b
+    return a
+
+
+#: Nodes of the radial inverse: radii on a uniform grid of log-tail scores.
+_INVERSE_NODES = 401
+
+#: Scores per block of `_RadialLaw.radius`.
+_RADIUS_BLOCK = 8192
+
+#: Largest |score| the radial inverse's grid reaches, about 8.854: the score
+#: of the Gaussian tail beyond 8.5, ~9.5e-18.  A float generator's nonzero
+#: uniforms, multiples of 2^-53, have scores below 8.6.
+_SCORE_REACH = float(_log_tail_score(np.array([0.5 * math.erfc(8.5 * math.sqrt(0.5))]))[0])
+
+#: Radii of the mode band at which the inverse's first radii are placed,
+#: besides the panel edges: geometric, as the lower tail is a power law in r.
+_BAND_RADII = np.geomspace(1e-30, _CDF_BAND, 100, endpoint=False)
+
+#: Gauss-Legendre rule that carries a tail over the first Newton step.
+_STEP_NODES, _STEP_WEIGHTS = _legendre_rule((
+    (0.33998104358485626, 0.6521451548625464),
+    (0.8611363115940526, 0.34785484513745357),
+))
+
+
+def _hermite_pieces(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Cubic Hermite pieces of the nodes ``(x, y)`` with slopes ``d``.
+
+    Row ``j`` of the result is ``c_j`` of each piece's
+    ``((c0 t + c1) t + c2) t + c3`` in ``t = x - x_k`` over ``[x_k, x_k+1]``.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+
+class _RadialLaw:
+    """The radial law with density ``s^(dim-1) f(s^2/2)``, ``s >= 0``: every quantity of ``R``.
 
     ``f`` is the profile of shape ``M``.  At ``dim = 1`` this is the law of
     ``|U|`` for the standardized univariate variable; at ``dim = N`` it is
-    the law of the radius ``R = sqrt(Q)`` of the N-dimensional family.  The
-    integrand is split over a Gauss-Jacobi rule on the mode band ``[0, 0.3]``
-    (the split of `_band_integral` is exact for the cusp of ``0 < M < 1``),
-    then Gauss-Legendre panels out to ``40``.  Panel masses are accumulated
-    both ways: outward from ``0`` into ``head[k]``, the integral over
-    ``[0, edges[k]]``, and inward from the far end into ``tail[k]``, the
-    integral over ``[edges[k], inf)``.  So `below` keeps its relative
-    precision near ``0`` and `above` and `lower_tail` keep theirs however
-    small the tail.  Probabilities are these integrals over ``tail[0]``.
-    Immutable once built.
+    the law of the radius ``R = sqrt(Q)`` of the N-dimensional family.  Each
+    family holds one law and keeps only its map to ``R``.  The integrand is
+    split over a Gauss-Jacobi rule on the mode band ``[0, 0.3]`` (the split
+    of `_band_integral` is exact for the cusp of ``0 < M < 1``), then
+    Gauss-Legendre panels out to ``40``.  Panel masses are accumulated both
+    ways: outward from ``0`` into ``head[k]``, the integral over ``[0,
+    edges[k]]``, and inward from the far end into ``tail[k]``, the integral
+    over ``[edges[k], inf)``.  So `below` keeps its relative precision near
+    ``0`` and `above` and `lower_tail` keep theirs however small the tail.
+    Probabilities are these integrals over ``tail[0]``.  The expectation
+    rules and the `inverse` are built from them on first use, each
+    published by one assignment; the law is immutable otherwise.
     """
 
     def __init__(self, shape: ShapeParam, dim: int = 1):
@@ -457,19 +518,24 @@ class _CdfTable:
         tail[upper] = self.above(r[upper])
         return tail, upper
 
-    def held_tails(self, band_radii: np.ndarray):
-        """`smaller_tail` at ``band_radii`` in the mode band, then at the
-        panel edges inside the reach, returned with those radii.
+    def score_slope(self, r: np.ndarray, tail: np.ndarray, upper: np.ndarray):
+        """Radial score at ``r`` and its slope ``d log r / d score``, from the
+        tail ``tail`` at ``r``, an upper tail where ``upper``.
 
-        The band's masses are closed forms (`_band_integral`) and the edges'
-        are the ones the table accumulated, so no panel is integrated.
+        The score is the `_log_tail_score` of the tail, negated where it is
+        ``P(R <= r)``: ``sqrt(-2 log(1 - F)) - sqrt(-2 log F)`` with ``F`` the
+        radial CDF, increasing in ``r`` and analytic across the median.
+        Either tail may be passed, even past the median: the score is odd
+        about ``p = 1/2`` and its slope is symmetric in ``p`` and ``1 - p``.
+        With ``a, b`` the tail's `_tail_roots`, ``d score / d r = density(r)
+        (1/(p a) + 1/((1 - p) b))``, taken as ``density / (p a)`` times ``1 + p
+        a / ((1 - p) b)`` so that no factor overflows far out.
         """
-        scale = 2.0 * self._scale
-        r = np.concatenate((band_radii, _CDF_EDGES[1:-1]))
-        below = np.concatenate((self._band_integral(band_radii), self._head[1:-1])) * scale
-        above = np.concatenate((1.0 - below[:band_radii.size], self._tail[1:-1] * scale))
-        upper = below > 0.5
-        return r, np.where(upper, above, below), upper
+        a, b = _tail_roots(tail)
+        s = np.subtract(a, b)
+        np.negative(s, out=s, where=~upper)
+        pa = tail * a
+        return s, pa / (r * self.density(r) * (1.0 + pa / ((1.0 - tail) * b)))
 
     def expectation_rule(self, parts: int = 1, tail: float = 0.0):
         """Nodes ``s_i`` and weights ``H_i`` of the table's own quadrature (``dim = 1``).
@@ -510,132 +576,35 @@ class _CdfTable:
         """Unsplit `expectation_rule` cut at `_CF_TAIL`: the CF's rule to ``|sigma omega| = 16``."""
         return self.expectation_rule(tail=_CF_TAIL)
 
+    @cached_property
+    def inverse(self):
+        """Inverse of the radial CDF: a uniform ``grid`` of scores and its cubic pieces.
 
-def _tail_roots(p: np.ndarray):
-    """``a = sqrt(-2 log p)`` and ``b = sqrt(-2 log(1 - p))`` for an array of masses in [0, 1]."""
-    with np.errstate(divide="ignore"):
-        a = np.log(p)
-        b = np.negative(p)
-        np.log1p(b, out=b)
-    a *= -2.0
-    b *= -2.0
-    return np.sqrt(a, out=a), np.sqrt(b, out=b)
-
-
-def _log_tail_score(p: np.ndarray) -> np.ndarray:
-    """Log-tail score ``sqrt(-2 log p) - sqrt(-2 log(1 - p))`` of an array of tail masses.
-
-    It stands in for the Gaussian score of the tail: it tends to
-    ``sqrt(-2 log p)`` as ``p -> 0``, so both tails keep their relative
-    precision, and it is odd about ``p = 1/2`` and analytic across it, so
-    either tail of a law may be taken.  ``+inf`` at ``p = 0``, ``-inf`` at
-    ``p = 1``.
-    """
-    a, b = _tail_roots(p)
-    a -= b
-    return a
-
-
-#: Nodes of the radial inverse: radii on a uniform grid of log-tail scores.
-_INVERSE_NODES = 401
-
-#: Scores per block of `_RadialInverse.radius`.
-_RADIUS_BLOCK = 8192
-
-#: Largest |score| the radial inverse's grid reaches, about 8.854: the score
-#: of the Gaussian tail beyond 8.5, ~9.5e-18.  A float generator's nonzero
-#: uniforms, multiples of 2^-53, have scores below 8.6.
-_SCORE_REACH = float(_log_tail_score(np.array([0.5 * math.erfc(8.5 * math.sqrt(0.5))]))[0])
-
-#: Radii of the mode band at which the inverse's first radii are placed,
-#: besides the panel edges: geometric, as the lower tail is a power law in r.
-_BAND_RADII = np.geomspace(1e-30, _CDF_BAND, 100, endpoint=False)
-
-#: Gauss-Legendre rule that carries a tail over the first Newton step.
-_STEP_NODES, _STEP_WEIGHTS = _legendre_rule((
-    (0.33998104358485626, 0.6521451548625464),
-    (0.8611363115940526, 0.34785484513745357),
-))
-
-
-def _radial_score(table: _CdfTable, r: np.ndarray) -> np.ndarray:
-    """Log-tail score of the radial CDF at ``r``, negative below the median.
-
-    `_log_tail_score` of the table's `smaller_tail`, negated where that is
-    ``P(R <= r)``: ``sqrt(-2 log(1 - F)) - sqrt(-2 log F)`` with ``F`` the
-    radial CDF, increasing in ``r`` and analytic across the median.
-    """
-    tail, upper = table.smaller_tail(r)
-    score = _log_tail_score(tail)
-    return np.negative(score, out=score, where=~upper)
-
-
-def _score_step(table: _CdfTable, log_r: np.ndarray, score: np.ndarray):
-    """Newton step in ``log r`` from the radial score at ``r`` to ``score``.
-
-    Returns the step, to be subtracted from ``log r``, and the slope
-    ``d log r / d score`` at ``r``, which the step is the score's miss times.
-    With ``p`` the smaller tail at ``r`` and ``a, b`` its `_tail_roots`,
-    ``d score / d r = density(r) (1/(p a) + 1/((1 - p) b))``, taken as
-    ``density / (p a)`` times ``1 + p a / ((1 - p) b)`` so that no factor
-    overflows far out.
-    """
-    r = np.exp(log_r)
-    s, slope = _score_slope(table, r, *table.smaller_tail(r))
-    return (s - score) * slope, slope
-
-
-def _score_slope(table: _CdfTable, r: np.ndarray, tail: np.ndarray, upper: np.ndarray):
-    """Radial score at ``r`` and its ``d log r / d score`` (see `_score_step`),
-    from the tail ``tail`` at ``r``, an upper tail where ``upper``.
-
-    Either tail may be passed, even past the median: the score is odd about
-    ``p = 1/2`` and its slope is symmetric in ``p`` and ``1 - p``.
-    """
-    a, b = _tail_roots(tail)
-    s = np.subtract(a, b)
-    np.negative(s, out=s, where=~upper)
-    pa = tail * a
-    return s, pa / (r * table.density(r) * (1.0 + pa / ((1.0 - tail) * b)))
-
-
-def _hermite_pieces(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Cubic Hermite pieces of the nodes ``(x, y)`` with slopes ``d``.
-
-    Row ``j`` of the result is ``c_j`` of each piece's
-    ``((c0 t + c1) t + c2) t + c3`` in ``t = x - x_k`` over ``[x_k, x_k+1]``.
-    """
-    h = np.diff(x)
-    m = np.diff(y) / h
-    t = (d[:-1] + d[1:] - 2.0 * m) / h
-    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
-
-
-class _RadialInverse:
-    """Inverse of a table's radial CDF: the radius at a log-tail score.
-
-    The score is `_radial_score`, ``sqrt(-2 log p) - sqrt(-2 log(1 - p))``
-    of the smaller tail ``p``, negated below the median, so both tails keep
-    their relative precision and no draw needs the Gaussian quantile.  The
-    inverse is the cubic Hermite interpolant of ``r`` on a uniform grid of
-    `_INVERSE_NODES` scores over ``|score| <= 8.854`` (`_SCORE_REACH`, the
-    radii of the Gaussian scores ``|z| <= 8.5``).  The first radius of each
-    grid score comes from masses the table already holds
-    (`_CdfTable.held_tails`, at `_BAND_RADII` and the panel edges): a cubic
-    Hermite interpolant of ``log r`` in the score, with the slopes of the
-    density, within ~1e-3 in ``log r``.  One pass of the table there gives
-    the first Newton step in ``log r`` (that of `_score_step`); the tail is
-    carried over that short step by a 4-point Gauss-Legendre rule of the
-    density, and gives the second step, of at most ~2e-7, and the slope at
-    its start each node's derivative ``dr / d score``.  So the cubic's
-    error falls as the fourth power of the spacing: within ~1.3e-8 of the
-    radius.  Immutable.
-    """
-
-    def __init__(self, table: _CdfTable):
-        held, tail, upper = table.held_tails(_BAND_RADII)
+        Built on first use; `radius` reads it at a score, that of
+        `score_slope`: ``sqrt(-2 log p) - sqrt(-2 log(1 - p))`` of the smaller
+        tail ``p``, negated below the median, so both tails keep their
+        relative precision and no draw needs the Gaussian quantile.  The
+        inverse is the cubic Hermite
+        interpolant of ``r`` on `_INVERSE_NODES` scores over ``|score| <=
+        8.854`` (`_SCORE_REACH`, the radii of the Gaussian scores ``|z| <=
+        8.5``).  The first radius of each grid score comes from masses the
+        law already holds, the closed forms of the band at `_BAND_RADII` and
+        the accumulated ones at the panel edges: a cubic Hermite interpolant
+        of ``log r`` in the score, with the slopes of the density, within
+        ~1e-3 in ``log r``.  One pass of `smaller_tail` there gives the first
+        Newton step in ``log r``; the tail is carried over that short step by
+        a 4-point Gauss-Legendre rule of the density, and gives the second
+        step, of at most ~2e-7, and the slope at its start each node's
+        derivative ``dr / d score``.  So the cubic's error falls as the
+        fourth power of the spacing: within ~1.3e-8 of the radius.
+        """
+        scale = 2.0 * self._scale
+        held = np.concatenate((_BAND_RADII, _CDF_EDGES[1:-1]))
+        below = np.concatenate((self._band_integral(_BAND_RADII), self._head[1:-1])) * scale
+        above = np.concatenate((1.0 - below[:_BAND_RADII.size], self._tail[1:-1] * scale))
+        upper = below > 0.5
         with np.errstate(divide="ignore", invalid="ignore"):  # a mass of 0 has no score
-            sc, slope = _score_slope(table, held, tail, upper)
+            sc, slope = self.score_slope(held, np.where(upper, above, below), upper)
         keep = np.isfinite(sc) & np.isfinite(slope)
         # from M ~ 1e-296 down the band's masses underflow to repeated values:
         # a knot's score must pass every score before it
@@ -647,26 +616,25 @@ class _RadialInverse:
         k = np.clip(sc.searchsorted(grid, side="right") - 1, 0, sc.size - 2)
         t = grid - sc[k]
         log_r = ((start[0, k] * t + start[1, k]) * t + start[2, k]) * t + start[3, k]
-        # one pass of the table and one Newton step
+        # one pass of the masses and one Newton step
         r = np.exp(log_r)
-        tail, upper = table.smaller_tail(r)
-        score, slope = _score_slope(table, r, tail, upper)
+        tail, upper = self.smaller_tail(r)
+        score, slope = self.score_slope(r, tail, upper)
         log_r -= (score - grid) * slope
         # the last step from the tail carried over the first one
         step_r = np.exp(log_r)
         half = 0.5 * (step_r - r)
         nodes = (r + half)[:, None] + half[:, None] * _STEP_NODES
-        mass = half * (table.density(nodes) @ _STEP_WEIGHTS)
+        mass = half * (self.density(nodes) @ _STEP_WEIGHTS)
         tail += np.where(upper, -mass, mass)
-        score, slope = _score_slope(table, step_r, tail, upper)
+        score, slope = self.score_slope(step_r, tail, upper)
         log_r -= (score - grid) * slope
         r = np.exp(log_r)
-        self.grid = grid
         # node slopes dr/dscore
-        self._coeffs = _hermite_pieces(grid, r, r * slope)
+        return grid, _hermite_pieces(grid, r, r * slope)
 
     def radius(self, values: np.ndarray, tail: bool = False, out: np.ndarray | None = None):
-        """Radius at each of the 1-D array's scores, clipped to the grid.
+        """Radius at each of the 1-D array's scores, clipped to the `inverse`'s grid.
 
         With ``tail`` the values are upper tails ``P(R > r)`` instead, and
         each block's `_log_tail_score` is computed in the block, so no array
@@ -678,7 +646,7 @@ class _RadialInverse:
         ``clip`` mode, which checks no bound and maps the grid's last score
         to the last piece.
         """
-        grid, coeffs = self.grid, self._coeffs
+        grid, coeffs = self.inverse
         knots = grid[:-1]
         lo, hi = grid[0], grid[-1]
         per_piece = (grid.size - 1) / (hi - lo)
@@ -700,11 +668,11 @@ class _RadialInverse:
 
 
 def _radial_draw(n: int, rng, dim: int,
-                 inverse: _RadialInverse | None) -> tuple[np.ndarray, np.ndarray | None]:
+                 law: _RadialLaw | None) -> tuple[np.ndarray, np.ndarray | None]:
     """``n`` standardized points ``R D`` of a radial law, as ``(points, factor)``.
 
-    ``inverse`` is the law's `_RadialInverse`, through which ``R`` is drawn
-    by inverse-CDF sampling, or ``None`` for the Gaussian shape ``M = 1``,
+    ``law`` is the `_RadialLaw`, whose `~_RadialLaw.radius` draws ``R`` by
+    inverse-CDF sampling, or ``None`` for the Gaussian shape ``M = 1``,
     whose points are one block of standard normals.  In one dimension one
     block of uniforms ``u`` gives both factors: ``D`` is the sign of
     ``u - 1/2`` and ``R`` the radius of the upper tail ``2 min(u, 1 - u)``,
@@ -725,14 +693,14 @@ def _radial_draw(n: int, rng, dim: int,
     if not isinstance(rng, np.random.Generator):
         raise TypeError("rng must be a numpy.random.Generator")
     n = int(n)
-    if inverse is None:
+    if law is None:
         return rng.standard_normal((n, dim)), None
     if dim == 1:
         u = rng.random(n)
         tail = np.subtract(1.0, u)
         np.minimum(u, tail, out=tail)
         tail *= 2.0
-        radius = inverse.radius(tail, tail=True, out=tail)
+        radius = law.radius(tail, tail=True, out=tail)
         u -= 0.5
         return np.copysign(radius, u, out=radius)[:, None], None
     z = rng.standard_normal((n, dim))
@@ -742,7 +710,7 @@ def _radial_draw(n: int, rng, dim: int,
         z[zero, 0] = 1.0
         norm[zero] = 1.0
     u = rng.random(n)
-    radius = inverse.radius(np.subtract(1.0, u, out=u), tail=True, out=u)
+    radius = law.radius(np.subtract(1.0, u, out=u), tail=True, out=u)
     radius /= norm
     return z, radius
 
@@ -751,9 +719,11 @@ class MultiGauss:
     """Symmetric distribution with location ``mu``, scale ``sigma``, shape ``M``.
 
     Immutable after construction, which computes the normalization
-    constant; the moment ratios, the CDF table with its expectation rule,
-    the MGF's denominator and the radial inverse are built on first use,
-    each published by one assignment.  All evaluation methods are safe for concurrent use;
+    constant and builds nothing else.  The moment ratios, the MGF's
+    denominator and the one `_RadialLaw` of ``|U|`` behind `cdf`,
+    `quantile`, `sample`, `xi`, `mgf` and `cf` (its masses, expectation
+    rules and inverse) are built on first use, each published by one
+    assignment.  All evaluation methods are safe for concurrent use;
     `sample` requires a caller-owned ``numpy.random.Generator`` that must
     not be shared between threads.
     """
@@ -819,7 +789,7 @@ class MultiGauss:
         if n == 0 or _gaussian(self._shape):
             return 1.0
         if n not in self._xi:
-            s, h = self._cdf_table.rule
+            s, h = self._law.rule
             log_dfact = math.log(math.prod(range(1, 2 * n, 2)))
             with np.errstate(divide="ignore"):
                 terms = np.exp(np.log(np.abs(h)) - 0.5 * s * s + 2 * n * np.log(s) - log_dfact)
@@ -871,18 +841,14 @@ class MultiGauss:
         x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             u = np.atleast_1d((x - self._mu) / self._sigma)
-        lower = self._cdf_table.lower_tail(np.abs(u).ravel()).reshape(u.shape)
+        lower = self._law.lower_tail(np.abs(u).ravel()).reshape(u.shape)
         out = np.where(u < 0.0, lower, 1.0 - lower)
         out[np.isnan(u)] = np.nan
         return float(out[0]) if x.ndim == 0 else out
 
     @cached_property
-    def _cdf_table(self) -> _CdfTable:
-        return _CdfTable(self._shape)
-
-    @cached_property
-    def _inverse(self) -> _RadialInverse:
-        return _RadialInverse(self._cdf_table)
+    def _law(self) -> _RadialLaw:
+        return _RadialLaw(self._shape)
 
     # -- generating functions -------------------------------------------------
 
@@ -921,7 +887,7 @@ class MultiGauss:
         bound depends on the point alone, so a point gets the same bits
         whatever else the array holds.
         """
-        s, h = self._cdf_table.rule
+        s, h = self._law.rule
         bound = _MGF_WINDOW_STEP * np.ceil((a + _MGF_WINDOW) / _MGF_WINDOW_STEP)
         near = np.full_like(a, np.nan)
         for b in sorted(set(bound[~np.isnan(bound)].tolist())):
@@ -954,9 +920,9 @@ class MultiGauss:
             raise ValueError(f"|sigma omega| must not exceed {_CF_REACH:g}, got {a.max()!r}")
         parts = np.ceil(np.maximum(a, 1.0) / _CF_PANEL_FREQ)
         r = np.full_like(a, np.nan)
-        table = self._cdf_table
+        law = self._law
         for k in sorted(set(parts[~np.isnan(a)].tolist())):
-            s, h = table.cf_rule if k == 1 else table.expectation_rule(int(k), tail=_CF_TAIL)
+            s, h = law.cf_rule if k == 1 else law.expectation_rule(int(k), tail=_CF_TAIL)
             q = h * np.exp(-0.5 * s * s)
             pick = parts == k
             r[pick] = _rule_sum(a[pick], s, q, lambda p, s: np.cos(p * s)) / q.sum()
@@ -1032,26 +998,28 @@ class MultiGauss:
         if bad.any():
             raise ValueError(
                 f"quantile level must lie strictly in (0, 1), got {float(p[bad][0])!r}")
-        inverse = self._inverse
+        law = self._law
         score = _log_tail_score(2.0 * np.minimum(p, 1.0 - p))  # -inf at the median
-        r = inverse.radius(score)
-        top = inverse.grid[-1:]
+        r = law.radius(score)
+        top = law.inverse[0][-1:]
         far = score > top
         if far.any():
             # far out p ~ e^(-r^2/2) / r, so r^2 + log r^2 - score^2 keeps its
             # value at the grid's end: two fixed-point steps solve for r^2
-            r_top = inverse.radius(top) ** 2
+            r_top = law.radius(top) ** 2
             w = score[far] ** 2 + (r_top + np.log(r_top) - top * top)
             r[far] = np.sqrt(w - np.log(w - np.log(w)))
         log_r = np.log(r)
         log_reach = math.log(_CDF_REACH)
         todo = np.flatnonzero(p != 0.5)
-        # from the inverse's start two steps reach full precision inside its
-        # grid, and at most three beyond it
+        # from the inverse's start two Newton steps in log r reach full
+        # precision inside its grid, and at most three beyond it
         for _ in range(8):
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                step = _score_step(self._cdf_table, log_r[todo], score[todo])[0]
-            moving = np.isfinite(step)  # beyond the table's reach the score is infinite
+                r = np.exp(log_r[todo])
+                s, slope = law.score_slope(r, *law.smaller_tail(r))
+                step = (s - score[todo]) * slope
+            moving = np.isfinite(step)  # beyond the law's reach the score is infinite
             todo, step = todo[moving], step[moving]
             log_r[todo] = np.minimum(log_r[todo] - step, log_reach)
             todo = todo[np.abs(step) > 1e-9]
@@ -1076,7 +1044,7 @@ class MultiGauss:
         identical output.  A draw beyond the float range is ``-inf`` or
         ``inf``, with no warning.
         """
-        x = _radial_draw(n, rng, 1, None if _gaussian(self._shape) else self._inverse)[0][:, 0]
+        x = _radial_draw(n, rng, 1, None if _gaussian(self._shape) else self._law)[0][:, 0]
         with np.errstate(over="ignore"):
             x *= self._sigma
             x += self._mu

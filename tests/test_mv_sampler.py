@@ -18,8 +18,7 @@ from multigauss import LogMultiGauss, MultiGauss, MvMultiGauss, SeriesNotConverg
 from multigauss.series import ShapeParam
 from multigauss.univariate import (
     _CDF_BAND, _CDF_EDGES, _CDF_REACH, _GL_NODES, _GL_WEIGHTS, _INVERSE_NODES,
-    _SCORE_REACH, _CdfTable, _log_tail_score, _RadialInverse,
-    _radial_score, _score_step, mg_profile,
+    _SCORE_REACH, _RadialLaw, _log_tail_score, mg_profile,
 )
 
 SHAPES = (1e-3, 0.025, 0.5, 1, 2.5, 10, 40, 54)
@@ -63,7 +62,7 @@ def test_ellipsoid_mass_matches_mpmath(mval, dim):
     mass = mv.ellipsoid_mass(np.array(QS))
     assert np.max(np.abs(mass - below)) <= 1e-14
     # the table's upper tail keeps its relative precision out to q = 40 ...
-    tail = mv._radial_table.above(np.sqrt(QS))
+    tail = mv._law.above(np.sqrt(QS))
     assert np.max(np.abs(tail / above - 1.0)) <= 1e-10
     # ... and 1 - mass is that tail up to the float spacing below 1
     above = np.array(above)
@@ -86,7 +85,7 @@ def test_table_of_a_wide_flat_top_matches_mpmath(mval, dim):
         total = mp.fsum(pieces)
         below = np.array([float(mp.fsum(pieces[:k + 1]) / total) for k in range(radii.size)])
         above = np.array([float(mp.fsum(pieces[k + 1:]) / total) for k in range(radii.size)])
-    table = _CdfTable(ShapeParam.of(mval), dim)
+    table = _RadialLaw(ShapeParam.of(mval), dim)
     np.testing.assert_allclose(table.below(radii), below, rtol=1e-15, atol=0.0)
     # the upper tail keeps 1e-15 over the flat top; past it, where the tail
     # falls below ~1e-2, its panels hold ~2e-15 at every M
@@ -113,7 +112,7 @@ def _unit_table_lower_tail(shape, au):
     without the radial weight.  The band is the closed form on the table's
     own Gauss-Jacobi nodes and weights."""
     v = shape.value
-    table = _CdfTable(shape, 1)
+    table = _RadialLaw(shape, 1)
     nodes, weights = table._gj_nodes, table._gj_weights
 
     def legendre(lo, hi):
@@ -149,7 +148,7 @@ def _unit_table_lower_tail(shape, au):
 def test_unit_dimension_table_keeps_its_bits(mval):
     shape = ShapeParam.of(mval)
     au = np.concatenate((np.linspace(0.0, 45.0, 3001), [0.3, 0.3 - 1e-12, 40.0]))
-    got = _CdfTable(shape, 1).lower_tail(au)
+    got = _RadialLaw(shape, 1).lower_tail(au)
     np.testing.assert_array_equal(got, _unit_table_lower_tail(shape, au))
 
 
@@ -169,10 +168,28 @@ def _both_tails_score(table, r):
     return score
 
 
+def _radial_score(table, r):
+    """Log-tail score of the radial CDF at ``r``, negative below the median:
+    `_log_tail_score` of the law's `smaller_tail`, negated where that is
+    ``P(R <= r)``."""
+    tail, upper = table.smaller_tail(r)
+    score = _log_tail_score(tail)
+    return np.negative(score, out=score, where=~upper)
+
+
+def _score_step(table, log_r, score):
+    """Newton step in ``log r`` from the radial score at ``r`` to ``score``,
+    to be subtracted from ``log r``, and the slope ``d log r / d score`` at
+    ``r``: the step `MultiGauss.quantile` takes."""
+    r = np.exp(log_r)
+    s, slope = table.score_slope(r, *table.smaller_tail(r))
+    return (s - score) * slope, slope
+
+
 @pytest.mark.parametrize("dim", (1, 2, 3, 5))
 @pytest.mark.parametrize("mval", (1e-3, 0.025, 0.5, 1, 2.5, 40, 54))
 def test_one_tail_radial_score_keeps_its_bits(mval, dim):
-    table = _CdfTable(ShapeParam.of(mval), dim)
+    table = _RadialLaw(ShapeParam.of(mval), dim)
     k = int(np.searchsorted(_CDF_EDGES, table.median_edge))
     # the median edge is the first panel edge past the median
     below_edges = table.below(_CDF_EDGES[k - 1:k + 1])
@@ -216,50 +233,47 @@ def test_coarse_pass_keeps_the_inverse_bits(mval, dim):
     # the coarse start from the table's held masses keeps the grid's bits,
     # and one table pass and a step carried by quadrature give the nodes of
     # three full Newton steps from every candidate radius
-    table = _CdfTable(ShapeParam.of(mval), dim)
-    inverse = _RadialInverse(table)
+    table = _RadialLaw(ShapeParam.of(mval), dim)
     grid, r, d = _inverse_from_every_candidate(table)
-    np.testing.assert_array_equal(inverse.grid, grid)
-    np.testing.assert_allclose(inverse._coeffs[3], r[:-1], rtol=1e-13, atol=0.0)
-    np.testing.assert_allclose(inverse.radius(grid[-1:]), r[-1:], rtol=1e-13, atol=0.0)
-    np.testing.assert_allclose(inverse._coeffs[2], d[:-1], rtol=1e-6, atol=0.0)
+    np.testing.assert_array_equal(table.inverse[0], grid)
+    np.testing.assert_allclose(table.inverse[1][3], r[:-1], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(table.radius(grid[-1:]), r[-1:], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(table.inverse[1][2], d[:-1], rtol=1e-6, atol=0.0)
 
 
 @pytest.mark.parametrize("mval,dim", [(0.025, 1), (2.5, 3), (54, 60)])
 def test_inverse_integrates_the_table_once(mval, dim, monkeypatch):
-    table = _CdfTable(ShapeParam.of(mval), dim)
+    table = _RadialLaw(ShapeParam.of(mval), dim)
     calls = []
-    smaller_tail = _CdfTable.smaller_tail
+    smaller_tail = _RadialLaw.smaller_tail
 
     def counted(self, r):
         calls.append(r.size)
         return smaller_tail(self, r)
 
-    monkeypatch.setattr(_CdfTable, "smaller_tail", counted)
-    _RadialInverse(table)
+    monkeypatch.setattr(_RadialLaw, "smaller_tail", counted)
+    table.inverse
     assert calls == [_INVERSE_NODES]
 
 
 @pytest.mark.parametrize("mval,dim", [(0.025, 2), (2.5, 3), (40, 5), (0.5, 1), (40, 1)])
 def test_inverse_table_matches_bisection(mval, dim):
-    table = _CdfTable(ShapeParam.of(mval), dim)
-    inverse = _RadialInverse(table)
-    assert inverse.grid[0] <= -8.3 and inverse.grid[-1] >= 8.3
+    table = _RadialLaw(ShapeParam.of(mval), dim)
+    assert table.inverse[0][0] <= -8.3 and table.inverse[0][-1] >= 8.3
     scores = np.random.default_rng(11).uniform(-8.3, 8.3, 1000)
     lo, hi = np.zeros_like(scores), np.full_like(scores, _CDF_REACH)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         below = _radial_score(table, mid) < scores
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    assert np.max(np.abs(inverse.radius(scores) - 0.5 * (lo + hi))) <= 1e-6
+    assert np.max(np.abs(table.radius(scores) - 0.5 * (lo + hi))) <= 1e-6
 
 
 @pytest.mark.parametrize("dim", (1, 2, 3, 5, 9))
 @pytest.mark.parametrize("mval", (1e-3, 0.025, 0.5, 2.5, 40, 54))
 def test_inverse_matches_bisection_on_the_log_tail_score(mval, dim):
-    table = _CdfTable(ShapeParam.of(mval), dim)
-    inverse = _RadialInverse(table)
-    grid = inverse.grid
+    table = _RadialLaw(ShapeParam.of(mval), dim)
+    grid = table.inverse[0]
     # the grid holds the score of every nonzero uniform, at most 8.572
     assert grid[0] <= -8.58 and grid[-1] >= 8.58
     scores = np.concatenate((
@@ -272,16 +286,15 @@ def test_inverse_matches_bisection_on_the_log_tail_score(mval, dim):
         mid = 0.5 * (lo + hi)
         below = _radial_score(table, mid) < scores
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    assert np.max(np.abs(inverse.radius(scores) - 0.5 * (lo + hi))) <= 1e-6
+    assert np.max(np.abs(table.radius(scores) - 0.5 * (lo + hi))) <= 1e-6
 
 
 @pytest.mark.parametrize("dim", (1, 2, 3, 5, 9, 20, 60))
 @pytest.mark.parametrize("mval", (1e-3, 0.025, 0.5, 2.5, 12.3, 40, 54))
 def test_hermite_inverse_is_within_3e_8(mval, dim):
     # the cubic takes each node's exact slope from the last Newton step
-    table = _CdfTable(ShapeParam.of(mval), dim)
-    inverse = _RadialInverse(table)
-    grid = inverse.grid
+    table = _RadialLaw(ShapeParam.of(mval), dim)
+    grid = table.inverse[0]
     scores = np.concatenate((
         np.random.default_rng(13).uniform(grid[0], grid[-1], 600),
         np.linspace(-0.05, 0.05, 21), grid[:3], grid[-3:],
@@ -291,7 +304,7 @@ def test_hermite_inverse_is_within_3e_8(mval, dim):
         mid = 0.5 * (lo + hi)
         below = _radial_score(table, mid) < scores
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    assert np.max(np.abs(inverse.radius(scores) - 0.5 * (lo + hi))) <= 3e-8
+    assert np.max(np.abs(table.radius(scores) - 0.5 * (lo + hi))) <= 3e-8
     if dim == 1:
         # each draw is the quantile of its uniform without the Newton polish
         d = MultiGauss(0.0, 1.0, mval)
@@ -306,8 +319,8 @@ def test_log_tail_score_is_odd(monkeypatch):
                         [0.5, 0.25, 1e-17, 5e-324, 0.0]))
     # one mass taken once as the upper tail and once as the lower tail
     upper = np.repeat([True, False], p.size)
-    monkeypatch.setattr(_CdfTable, "smaller_tail", lambda self, r: (np.tile(p, 2), upper.copy()))
-    score = _radial_score(_CdfTable(ShapeParam.of(2.5), 1), np.zeros(2 * p.size))
+    monkeypatch.setattr(_RadialLaw, "smaller_tail", lambda self, r: (np.tile(p, 2), upper.copy()))
+    score = _radial_score(_RadialLaw(ShapeParam.of(2.5), 1), np.zeros(2 * p.size))
     np.testing.assert_array_equal(score[:p.size], -score[p.size:])
     assert score[p.size - 5] == 0.0 and score[p.size - 1] == np.inf
     assert np.all(np.diff(score[:400]) < 0.0)
@@ -335,12 +348,12 @@ def test_zero_uniform_draws_a_finite_point(dim):
     assert np.all(np.isfinite(x))
     # a uniform of 0 takes the radius at an end of the inverse's grid: the
     # upper end in one dimension (tail 0), the lower end in more (tail 1)
-    inverse = mv._inverse
+    law = mv._law
     if dim == 1:
-        np.testing.assert_array_equal(x[:2, 0], -inverse.radius(inverse.grid[-1:])[0])
+        np.testing.assert_array_equal(x[:2, 0], -law.radius(law.inverse[0][-1:])[0])
     else:
         np.testing.assert_allclose(np.linalg.norm(x[:2], axis=1),
-                                   inverse.radius(inverse.grid[:1])[0], rtol=1e-12)
+                                   law.radius(law.inverse[0][:1])[0], rtol=1e-12)
 
 
 class _ZeroDirection(np.random.Generator):
@@ -364,7 +377,7 @@ def test_zero_direction_draws_along_the_first_axis(dim):
     stream = np.random.default_rng(4)
     stream.standard_normal((6, dim))
     u = stream.random(6)
-    radius = mv._inverse.radius(np.subtract(1.0, u[:1]), tail=True)
+    radius = mv._law.radius(np.subtract(1.0, u[:1]), tail=True)
     assert np.all(np.isfinite(x[0]))
     np.testing.assert_array_equal(x[0], mv.mean + mv.chol[:, 0] * radius)
     # every other point is the unstubbed draw
@@ -397,7 +410,7 @@ def test_scaling_after_the_map_moves_draws_by_rounding_only(mval, dim):
     stream = np.random.default_rng(5)
     z = stream.standard_normal((n, dim))
     u = stream.random(n)
-    s = mv._inverse.radius(1.0 - u, tail=True) / np.sqrt(np.einsum("ij,ij->i", z, z))
+    s = mv._law.radius(1.0 - u, tail=True) / np.sqrt(np.einsum("ij,ij->i", z, z))
     former = (z * s[:, None]) @ mv.chol.T + mv.mean
     scale = np.abs(mv.mean) + s[:, None] * (np.abs(z) @ np.abs(mv.chol).T)
     assert np.all(np.abs(x - former) <= 4.0 * np.finfo(float).eps * scale)
@@ -412,7 +425,7 @@ def test_one_dimensional_draws_keep_their_formula_bit_for_bit(mval):
     else:
         u = stream.random(n)
         tail = 2.0 * np.minimum(u, 1.0 - u)
-        r = np.copysign(MultiGauss(0.0, 1.0, mval)._inverse.radius(tail, tail=True), u - 0.5)
+        r = np.copysign(MultiGauss(0.0, 1.0, mval)._law.radius(tail, tail=True), u - 0.5)
     np.testing.assert_array_equal(MultiGauss(0.3, 1.7, mval).sample(n, np.random.default_rng(6)),
                                   0.3 + 1.7 * r)
     np.testing.assert_array_equal(

@@ -159,9 +159,9 @@ def test_cusped_sampler_matches_the_scale_mixture(mval):
 def test_smaller_tail_is_the_two_pass_choice(mval, dim):
     # the two-pass form: `below` everywhere, then `above` wherever below > 1/2
     from multigauss.series import ShapeParam
-    from multigauss.univariate import _CDF_REACH, _CdfTable
+    from multigauss.univariate import _CDF_REACH, _RadialLaw
 
-    table = _CdfTable(ShapeParam(mval), dim)
+    table = _RadialLaw(ShapeParam(mval), dim)
     edge = table.median_edge
     r = np.concatenate((
         np.linspace(0.0, 0.3, 9),                          # the mode band
@@ -181,10 +181,10 @@ def test_smaller_tail_is_the_two_pass_choice(mval, dim):
     assert upper.any() and not upper.all()
 
 
-def _radius_by_search(inverse, scores):
+def _radius_by_search(law, scores):
     """The inverse at ``scores``: the piece found by binary search, clipped
     to the grid, and the Horner sum ((c0 t + c1) t + c2) t + c3."""
-    grid, c = inverse.grid, inverse._coeffs
+    grid, c = law.inverse
     s = np.clip(scores, grid[0], grid[-1])
     k = np.minimum(np.searchsorted(grid, s, side="right") - 1, grid.size - 2)
     t = s - grid[k]
@@ -194,28 +194,28 @@ def _radius_by_search(inverse, scores):
 @pytest.mark.parametrize("mval,dim", [(0.025, 1), (2.5, 1), (40, 1), (0.5, 3), (12.3, 5)])
 def test_radius_lookup_keeps_the_bits_of_a_binary_search(mval, dim):
     from multigauss.series import ShapeParam
-    from multigauss.univariate import _RADIUS_BLOCK, _CdfTable, _RadialInverse, _log_tail_score
+    from multigauss.univariate import _RADIUS_BLOCK, _RadialLaw, _log_tail_score
 
-    inverse = _RadialInverse(_CdfTable(ShapeParam(mval), dim))
-    grid = inverse.grid
+    law = _RadialLaw(ShapeParam(mval), dim)
+    grid = law.inverse[0]
     rng = np.random.default_rng(15)
     scores = np.concatenate((
         rng.uniform(grid[0], grid[-1], 3 * _RADIUS_BLOCK),  # more than one block
         grid[:2], grid[-2:],                                # both ends of the grid
         [grid[0] - 1e-9, -20.0, -np.inf, grid[-1] + 1e-9, 20.0, np.inf],  # beyond them
     ))
-    got = inverse.radius(scores)
-    assert got.tobytes() == _radius_by_search(inverse, scores).tobytes()
+    got = law.radius(scores)
+    assert got.tobytes() == _radius_by_search(law, scores).tobytes()
     # upper tails, 0 and 1 among them, scored block by block in place
     tails = np.concatenate((rng.random(2 * _RADIUS_BLOCK), [0.0, 1.0, 0.5, 1e-300]))
-    expected = _radius_by_search(inverse, _log_tail_score(tails))
-    got = inverse.radius(tails.copy(), tail=True)
+    expected = _radius_by_search(law, _log_tail_score(tails))
+    got = law.radius(tails.copy(), tail=True)
     assert got.tobytes() == expected.tobytes()
     in_place = tails.copy()
-    assert inverse.radius(in_place, tail=True, out=in_place) is in_place
+    assert law.radius(in_place, tail=True, out=in_place) is in_place
     assert in_place.tobytes() == expected.tobytes()
     # a tail of 0 takes the grid's upper end, a tail of 1 its lower end
-    assert got[-4] == inverse.radius(grid[-1:])[0] and got[-3] == inverse.radius(grid[:1])[0]
+    assert got[-4] == law.radius(grid[-1:])[0] and got[-3] == law.radius(grid[:1])[0]
 
 
 @pytest.mark.parametrize("dim", (1, 2, 3))

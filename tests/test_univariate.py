@@ -233,15 +233,15 @@ class TestGeneratingFunctions:
         assert d.cf(w).real == pytest.approx(series, rel=1e-12)
 
     def test_cf_builds_its_unsplit_rule_once(self, monkeypatch):
-        from multigauss.univariate import _CdfTable
+        from multigauss.univariate import _RadialLaw
 
-        builds, build = [], _CdfTable.expectation_rule
+        builds, build = [], _RadialLaw.expectation_rule
 
         def counting(self, parts=1, tail=0.0):
             builds.append(parts)
             return build(self, parts, tail)
 
-        monkeypatch.setattr(_CdfTable, "expectation_rule", counting)
+        monkeypatch.setattr(_RadialLaw, "expectation_rule", counting)
         d = MultiGauss(0.2, 1.1, 2.5)
         w = np.linspace(-12.0, 12.0, 41)
         first = d.cf(w)
