@@ -16,13 +16,12 @@ not the one-dimensional constant ``S(1/2; M)`` (the two agree only at
 The law is elliptical: ``X = mean + L R D`` with ``L`` the Cholesky factor
 of ``Sigma``, ``D`` uniform on the unit sphere and the radius ``R = sqrt(Q)``
 independent of ``D`` with density proportional to ``r^(N-1) [1 - (1 -
-e^(-r^2/2))^M]`` (Cambanis, Huang & Simons 1981).  The radial CDF comes from
-the same panel table as the univariate CDF, built with dimension ``N``; it
-gives the ellipsoid mass ``P(Q <= q)``, and the radial inverse shared with
-the univariate sampler and quantile turns it into an exact sampler without
-rejection.  The full multivariate CDF over rectangles has no tractable form
-and is not provided; marginals of this family are not members of the
-family, so no marginal objects exist either.
+e^(-r^2/2))^M]`` (Cambanis, Huang & Simons 1981).  Each object holds one
+`univariate._RadialLaw` of ``R``, as the univariate family does at ``N =
+1``: its masses give the ellipsoid mass ``P(Q <= q)``, and its inverse an
+exact sampler without rejection.  The full multivariate CDF over
+rectangles has no tractable form and is not provided; marginals of this
+family are not members of the family, so no marginal objects exist either.
 """
 
 from __future__ import annotations
@@ -96,10 +95,10 @@ class MvMultiGauss:
     symmetric to 1e-12 relative and positive definite (the Cholesky
     factorization is taken at construction and a failure names the first
     non-positive leading minor).  ``N = 1`` reduces exactly to the
-    univariate density.  The radial table behind `ellipsoid_mass` and
-    `sample` is built on first use and published by a single assignment, so
-    one object may be shared between threads; `sample` requires a
-    caller-owned ``numpy.random.Generator`` per thread.
+    univariate density.  The one `_RadialLaw` of the radius behind
+    `ellipsoid_mass` and `sample` is built on first use, not at construction,
+    and published by a single assignment, so one object may be shared
+    between threads; `sample` requires a caller-owned generator per thread.
     """
 
     def __init__(self, mean, cov, m):
@@ -179,7 +178,9 @@ class MvMultiGauss:
 
         The exact series at integer ``M``; at fractional ``M`` up to 128 and
         ``N <= 10`` the Mellin rule of `univariate._normalization`, within
-        5e-16 relative; above ``N = 10`` the truncated series.
+        5e-16 relative; above ``N = 10`` the truncated series.  The series
+        raises `SeriesNotConverged` beyond an estimated error of 1e-13 or an
+        integer ``M`` of 100: at ``N = 4..11`` for every integer ``M >= 55``.
         """
         return self._norm_result.value
 

@@ -36,8 +36,10 @@ hazards live here:
   with the correctly rounded ``math.fsum``.
 
 The constructors take the integer sums from here, and the fractional ones
-above order 5 (``N > 10``); the Mellin rule of `multigauss.univariate` gives
-the rest, and `multigauss.verify` checks it against this series.
+above order 5 (``N > 10``), each only where `check_normalization`'s
+estimated relative error is within 1e-13 and an integer ``M`` is at most
+100; the Mellin rule of `multigauss.univariate` gives the rest, and
+`multigauss.verify` checks it against this series.
 
 The condition number ``sum |t_m| / |sum t_m|`` of every evaluation is
 reported so callers can judge how many digits survived the cancellation.
@@ -513,7 +515,7 @@ def series_s(alpha: float, m_shape, policy: TruncationPolicy | None = None) -> S
 
 
 def check_normalization(result: SeriesResult, alpha: float, shape: ShapeParam, what: str,
-                        exact_limit: int = EXACT_COEFF_LIMIT) -> None:
+                        exact_limit: int = EXACT_COEFF_LIMIT) -> float:
     """Raise :class:`SeriesNotConverged` unless ``result = S(alpha; M)`` kept its digits.
 
     A ``CAP_HIT`` result did not converge, and keeps none.  Integer shapes
@@ -522,7 +524,8 @@ def check_normalization(result: SeriesResult, alpha: float, shape: ShapeParam, w
     rounding counts; any other shape or order loses about
     ``log10(condition_number)`` digits of plain float precision.  A value
     whose estimated relative error exceeds 1e-3, or that is not finite,
-    retains no significant digits.
+    retains no significant digits.  Returns that estimate, the condition
+    number times 1e-30 for exact terms and 2e-16 otherwise.
     """
     if result.truncation_flag is TruncationFlag.CAP_HIT:
         raise SeriesNotConverged(f"{what} did not converge for M={shape.value} "
@@ -530,13 +533,13 @@ def check_normalization(result: SeriesResult, alpha: float, shape: ShapeParam, w
     k = 2.0 * alpha
     exact_terms = (shape.is_integer and shape.int_value <= exact_limit
                    and k >= 0.0 and k.is_integer())
-    err_floor = 1e-30 if exact_terms else 2e-16
-    if not (math.isfinite(result.value)
-            and result.condition_number * err_floor <= 1e-3):
+    err = result.condition_number * (1e-30 if exact_terms else 2e-16)
+    if not (math.isfinite(result.value) and err <= 1e-3):
         raise SeriesNotConverged(
             f"{what} for M={shape.value} retains no significant digits "
             f"(condition number {result.condition_number:.3g})"
         )
+    return err
 
 
 def xi_coeff(n: int, m_shape, policy: TruncationPolicy | None = None) -> float:

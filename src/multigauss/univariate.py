@@ -11,7 +11,8 @@ mean and component widths ``sigma / sqrt(m)``; that series (`multigauss.series`)
 gives the normalization constant at integer ``M``, where it is a finite sum
 taken exactly, and stays the reference the rest is checked against.  At
 fractional ``M`` the constant is its Mellin integral, taken by one fixed
-144-node rule (`_mellin_rule`).
+144-node rule (`_mellin_rule`).  A constant from the series raises beyond
+an estimated error of 1e-13 or an integer ``M`` of 100 (`_normalization`).
 
 Evaluation strategy: the closed form above is the one profile formula on
 the whole half-line ``w = (x-mu)^2 / (2 sigma^2) >= 0``.  It keeps full
@@ -223,6 +224,10 @@ _MELLIN_LOG_REACH = 7.0
 _MELLIN_MAX_ORDER = 5.0
 _MELLIN_MAX_SHAPE = 128.0
 
+#: Largest estimated error of a constant from the series, and largest integer
+#: ``M`` it serves: from ~100 its 2^-160 floor loses up to 2^(M-160) unseen.
+_SERIES_MAX_ERROR, _SERIES_MAX_INTEGER = 1e-13, 100
+
 
 def _mellin_nodes():
     """Nodes of the rule of ``int_0^inf t^(a-1) f(t) dt``: ``log t``, weights, ``log(1 - e^-t)``.
@@ -274,12 +279,16 @@ def _normalization(alpha: float, shape: ShapeParam, what: str,
     `SeriesNotConverged` there.  Integer shapes keep the exact series, and
     higher orders, where the series converges like ``m^-alpha``, the
     truncated one (`series_s`): either raises `SeriesNotConverged` where
-    `check_normalization` rejects it (a ``CAP_HIT`` result among them).
-    Raises ``ValueError`` unless the value is positive.
+    `check_normalization` rejects it (a ``CAP_HIT`` result among them), or
+    its estimate is above 1e-13, or an integer ``M`` above 100.  Raises
+    ``ValueError`` unless the value is positive.
     """
     if shape.is_integer or alpha > _MELLIN_MAX_ORDER:
         res = series_s(alpha, shape)
-        check_normalization(res, alpha, shape, what, exact_limit=exact_limit)
+        err = check_normalization(res, alpha, shape, what, exact_limit=exact_limit)
+        if err > _SERIES_MAX_ERROR or (shape.is_integer and shape.int_value > _SERIES_MAX_INTEGER):
+            raise SeriesNotConverged(f"{what} for M={shape.value} is beyond the series' reach "
+                                     f"(estimated relative error {err:.2g})")
     elif shape.value > _MELLIN_MAX_SHAPE:
         raise SeriesNotConverged(f"{what} is out of reach for fractional M={shape.value} "
                                  f"(above {_MELLIN_MAX_SHAPE:g})")

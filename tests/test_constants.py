@@ -11,6 +11,7 @@ import math
 import os
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -84,6 +85,44 @@ def test_integer_shapes_keep_the_exact_series():
         for n in range(1, 11):
             mv = MvMultiGauss(np.zeros(n), np.eye(n), mval)
             assert mv.norm_const.hex() == series_s(n / 2, mval).value.hex(), (mval, n)
+
+
+#: ``(N, M)`` above three dimensions: shapes whose norm the series once gave
+#: 1e-13 to 1e40 off without an error, then shapes it serves with its digits.
+WIDE_NORMS = [(4, 55), (10, 70), (20, 100), (60, 200), (60, 300), (40, 300), (30, 797),
+              (11, 60.5), (11, 75.5), (27, 128.5), (11, 40.5),
+              (12, 2.5), (11, 1e-12), (11, 12.3), (20, 60), (60, 80), (1000, 2.5)]
+
+
+def _norm_reference(n, mval):
+    """``S(N/2; M)`` to 50 digits: the finite sum at integer ``M``, else the Mellin integral."""
+    a = mp.mpf(n) / 2
+    if float(mval).is_integer():
+        m = int(mval)
+        with mp.workdps(50 + m // 3):  # the terms reach C(M, M/2) < 2^M
+            return mp.fsum(mp.binomial(m, k) * (-1) ** (k - 1) * mp.mpf(k) ** -a
+                           for k in range(1, m + 1))
+    with mp.workdps(50):
+        m = mp.mpf(mval)
+        # the profile falls from t = log M on, and t^(a-1) e^-t peaks at a - 1;
+        # below a - 1 - 8 sqrt(a), where it rises monotonically, one interval
+        top = max(mp.log(m), 1)
+        lo = a - 1 - 8 * mp.sqrt(a)
+        inner = (1, top, top + 5, top + 20, lo, a - 1, a - 1 + 8 * mp.sqrt(a))
+        edges = sorted({mp.mpf(0), mp.inf} | {t for t in inner if t >= lo and t > 0})
+        # log(1 - e^-t) by expm1 near 0 and by log1p beyond, where 1 - e^-t rounds to 1
+        log_gap = lambda t: mp.log(-mp.expm1(-t)) if t < 1 else mp.log1p(-mp.exp(-t))
+        return mp.quad(lambda t: t ** (a - 1) * -mp.expm1(m * log_gap(t)), edges) / mp.gamma(a)
+
+
+@pytest.mark.parametrize("n, mval", WIDE_NORMS)
+def test_wide_norms_raise_or_keep_their_digits(n, mval):
+    # the series' estimated error must be within 1e-13, and an integer M at most 100
+    try:
+        got = MvMultiGauss(np.zeros(n), np.eye(n), mval).norm_const
+    except SeriesNotConverged:
+        return
+    assert abs(got / _norm_reference(n, mval) - 1) <= 1e-13
 
 
 def test_orders_above_five_keep_the_series():

@@ -1,8 +1,9 @@
-"""One radial inverse behind the univariate quantile and both samplers.
+"""One radial law, and its inverse, behind the univariate quantile and both samplers.
 
 The univariate law is the N = 1 case of the elliptical family,
 ``X = mu + sigma sign R``, so the quantile and the sampler of `MultiGauss`
-use the radial inverse of the multivariate sampler.  The sampler of
+use the radial inverse of the multivariate sampler, and each object holds
+one `_RadialLaw`.  The sampler of
 ``0 < M < 1`` is also checked against an oracle that shares no code with
 the CDF table: the exact Gaussian scale mixture of that range.
 """
@@ -11,6 +12,7 @@ import math
 import sys
 import threading
 import warnings
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -88,6 +90,54 @@ def test_gaussian_shape_draws_the_standard_normals():
     np.testing.assert_array_equal(lmg, np.exp(-2.0 + 3.0 * z))
     mv = MvMultiGauss([0.5], [[4.0]], 1).sample(3000, np.random.default_rng(9))
     np.testing.assert_array_equal(mv[:, 0], z * 2.0 + 0.5)
+
+
+@pytest.fixture
+def law_builds(monkeypatch):
+    """Counts of `_RadialLaw` constructions and of inverse builds, as two lists."""
+    from multigauss.univariate import _RadialLaw
+
+    laws, inverses = [], []
+    init, build = _RadialLaw.__init__, _RadialLaw.inverse.func
+
+    def counted_init(self, *args):
+        laws.append(args)
+        init(self, *args)
+
+    def counted_build(self):
+        inverses.append(self)
+        return build(self)
+
+    inverse = cached_property(counted_build)
+    inverse.__set_name__(_RadialLaw, "inverse")
+    monkeypatch.setattr(_RadialLaw, "__init__", counted_init)
+    monkeypatch.setattr(_RadialLaw, "inverse", inverse)
+    return laws, inverses
+
+
+def test_each_object_builds_one_law_on_first_use(law_builds):
+    laws, inverses = law_builds
+    x = np.linspace(-4.0, 4.0, 17)
+    # construction and the densities, the likelihood's path, build none
+    d = MultiGauss(0.3, 1.7, 2.5)
+    d.pdf(x), d.logpdf(x)
+    mv = MvMultiGauss(np.zeros(3), np.eye(3), 2.5)
+    mv.pdf(np.ones((4, 3))), mv.logpdf(np.ones((4, 3)))
+    assert laws == [] and inverses == []
+    # every other quantity of one object shares one law and one inverse
+    d.cdf(x), d.quantile(np.linspace(0.01, 0.99, 9)), d.sample(100, np.random.default_rng(1))
+    d.xi(1), d.xi(2), d.mgf(np.linspace(-2.0, 2.0, 5)), d.cf(np.linspace(-20.0, 20.0, 5))
+    d.cdf(0.5), d.quantile(0.2), d.sample(10, np.random.default_rng(2))
+    assert len(laws) == 1 and len(inverses) == 1
+    mv.ellipsoid_mass(np.linspace(0.0, 9.0, 5)), mv.sample(100, np.random.default_rng(3))
+    mv.sample(10, np.random.default_rng(4))
+    assert len(laws) == 2 and len(inverses) == 2
+    # the Gaussian shape draws its normals without a law, in both families
+    MultiGauss(0.0, 1.0, 1).sample(100, np.random.default_rng(5))
+    LogMultiGauss(0.0, 1.0, 1).sample(100, np.random.default_rng(5))
+    for dim in (1, 3):
+        MvMultiGauss(np.zeros(dim), np.eye(dim), 1).sample(100, np.random.default_rng(6))
+    assert len(laws) == 2 and len(inverses) == 2
 
 
 def test_threads_sharing_one_object_match_one_thread():
