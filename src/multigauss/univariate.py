@@ -333,65 +333,6 @@ def _log_phi(y: np.ndarray) -> np.ndarray:
     return np.where(y > 0.0, np.log(-np.expm1(-safe) / safe), 0.0)
 
 
-def _tail_roots(p: np.ndarray):
-    """``a = sqrt(-2 log p)`` and ``b = sqrt(-2 log(1 - p))`` for an array of masses in [0, 1]."""
-    with np.errstate(divide="ignore"):
-        a = np.log(p)
-        b = np.negative(p)
-        np.log1p(b, out=b)
-    a *= -2.0
-    b *= -2.0
-    return np.sqrt(a, out=a), np.sqrt(b, out=b)
-
-
-def _log_tail_score(p: np.ndarray) -> np.ndarray:
-    """Log-tail score ``sqrt(-2 log p) - sqrt(-2 log(1 - p))`` of an array of tail masses.
-
-    It stands in for the Gaussian score of the tail: it tends to
-    ``sqrt(-2 log p)`` as ``p -> 0``, so both tails keep their relative
-    precision, and it is odd about ``p = 1/2`` and analytic across it, so
-    either tail of a law may be taken.  ``+inf`` at ``p = 0``, ``-inf`` at
-    ``p = 1``.
-    """
-    a, b = _tail_roots(p)
-    a -= b
-    return a
-
-
-#: Nodes of the radial inverse: radii on a uniform grid of log-tail scores.
-_INVERSE_NODES = 401
-
-#: Scores per block of `_RadialLaw.radius`.
-_RADIUS_BLOCK = 8192
-
-#: Largest |score| the radial inverse's grid reaches, about 8.854: the score
-#: of the Gaussian tail beyond 8.5, ~9.5e-18.  A float generator's nonzero
-#: uniforms, multiples of 2^-53, have scores below 8.6.
-_SCORE_REACH = float(_log_tail_score(np.array([0.5 * math.erfc(8.5 * math.sqrt(0.5))]))[0])
-
-#: Radii of the mode band at which the inverse's first radii are placed,
-#: besides the panel edges: geometric, as the lower tail is a power law in r.
-_BAND_RADII = np.geomspace(1e-30, _CDF_BAND, 100, endpoint=False)
-
-#: Gauss-Legendre rule that carries a tail over the first Newton step.
-_STEP_NODES, _STEP_WEIGHTS = _legendre_rule((
-    (0.33998104358485626, 0.6521451548625464),
-    (0.8611363115940526, 0.34785484513745357),
-))
-
-
-def _hermite_pieces(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Cubic Hermite pieces of the nodes ``(x, y)`` with slopes ``d``.
-
-    Row ``j`` of the result is ``c_j`` of each piece's
-    ``((c0 t + c1) t + c2) t + c3`` in ``t = x - x_k`` over ``[x_k, x_k+1]``.
-    """
-    h = np.diff(x)
-    m = np.diff(y) / h
-    t = (d[:-1] + d[1:] - 2.0 * m) / h
-    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
-
-
 class _RadialLaw:
     """The radial law with density ``s^(dim-1) f(s^2/2)``, ``s >= 0``: every quantity of ``R``.
 
@@ -593,19 +534,18 @@ class _RadialLaw:
         `score_slope`: ``sqrt(-2 log p) - sqrt(-2 log(1 - p))`` of the smaller
         tail ``p``, negated below the median, so both tails keep their
         relative precision and no draw needs the Gaussian quantile.  The
-        inverse is the cubic Hermite
-        interpolant of ``r`` on `_INVERSE_NODES` scores over ``|score| <=
-        8.854`` (`_SCORE_REACH`, the radii of the Gaussian scores ``|z| <=
-        8.5``).  The first radius of each grid score comes from masses the
-        law already holds, the closed forms of the band at `_BAND_RADII` and
-        the accumulated ones at the panel edges: a cubic Hermite interpolant
-        of ``log r`` in the score, with the slopes of the density, within
-        ~1e-3 in ``log r``.  One pass of `smaller_tail` there gives the first
-        Newton step in ``log r``; the tail is carried over that short step by
-        a 4-point Gauss-Legendre rule of the density, and gives the second
-        step, of at most ~2e-7, and the slope at its start each node's
-        derivative ``dr / d score``.  So the cubic's error falls as the
-        fourth power of the spacing: within ~1.3e-8 of the radius.
+        inverse is the cubic Hermite interpolant of ``r`` on `_INVERSE_NODES`
+        scores over ``|score| <= 8.854`` (`_SCORE_REACH`, the radii of the
+        Gaussian scores ``|z| <= 8.5``).  The first radius of each grid score
+        comes from masses the law already holds, the closed forms of the band
+        at `_BAND_RADII` and the accumulated ones at the panel edges: a cubic
+        Hermite interpolant of ``log r`` in the score, with the slopes of the
+        density, within ~1e-3 in ``log r``.  One pass of `smaller_tail` there
+        gives the first Newton step in ``log r``; the tail is carried over
+        that short step by a 4-point Gauss-Legendre rule of the density, and
+        gives the second step, of at most ~2e-7, and the slope at its start
+        each node's derivative ``dr / d score``.  So the cubic's error falls
+        as the fourth power of the spacing: within ~1.3e-8 of the radius.
         """
         scale = 2.0 * self._scale
         held = np.concatenate((_BAND_RADII, _CDF_EDGES[1:-1]))
@@ -674,6 +614,65 @@ class _RadialLaw:
                 res *= t
                 res += c.take(k, out=row, mode="clip")
         return out
+
+
+def _tail_roots(p: np.ndarray):
+    """``a = sqrt(-2 log p)`` and ``b = sqrt(-2 log(1 - p))`` for an array of masses in [0, 1]."""
+    with np.errstate(divide="ignore"):
+        a = np.log(p)
+        b = np.negative(p)
+        np.log1p(b, out=b)
+    a *= -2.0
+    b *= -2.0
+    return np.sqrt(a, out=a), np.sqrt(b, out=b)
+
+
+def _log_tail_score(p: np.ndarray) -> np.ndarray:
+    """Log-tail score ``sqrt(-2 log p) - sqrt(-2 log(1 - p))`` of an array of tail masses.
+
+    It stands in for the Gaussian score of the tail: it tends to
+    ``sqrt(-2 log p)`` as ``p -> 0``, so both tails keep their relative
+    precision, and it is odd about ``p = 1/2`` and analytic across it, so
+    either tail of a law may be taken.  ``+inf`` at ``p = 0``, ``-inf`` at
+    ``p = 1``.
+    """
+    a, b = _tail_roots(p)
+    a -= b
+    return a
+
+
+#: Nodes of the radial inverse: radii on a uniform grid of log-tail scores.
+_INVERSE_NODES = 401
+
+#: Scores per block of `_RadialLaw.radius`.
+_RADIUS_BLOCK = 8192
+
+#: Largest |score| the radial inverse's grid reaches, about 8.854: the score
+#: of the Gaussian tail beyond 8.5, ~9.5e-18.  A float generator's nonzero
+#: uniforms, multiples of 2^-53, have scores below 8.6.
+_SCORE_REACH = float(_log_tail_score(np.array([0.5 * math.erfc(8.5 * math.sqrt(0.5))]))[0])
+
+#: Radii of the mode band at which the inverse's first radii are placed,
+#: besides the panel edges: geometric, as the lower tail is a power law in r.
+_BAND_RADII = np.geomspace(1e-30, _CDF_BAND, 100, endpoint=False)
+
+#: Gauss-Legendre rule that carries a tail over the first Newton step.
+_STEP_NODES, _STEP_WEIGHTS = _legendre_rule((
+    (0.33998104358485626, 0.6521451548625464),
+    (0.8611363115940526, 0.34785484513745357),
+))
+
+
+def _hermite_pieces(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Cubic Hermite pieces of the nodes ``(x, y)`` with slopes ``d``.
+
+    Row ``j`` of the result is ``c_j`` of each piece's
+    ``((c0 t + c1) t + c2) t + c3`` in ``t = x - x_k`` over ``[x_k, x_k+1]``.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
 
 
 def _radial_draw(n: int, rng, dim: int,
